@@ -21,8 +21,9 @@
 //! contribution from the ladder's probe-count savings. The two kernels must
 //! agree on the final energy to the bit — asserted on every cell.
 
-use ssp_bench::artifact::{Artifact, CellBuilder, CellMeta};
+use ssp_bench::artifact::{Artifact, CellBuilder};
 use ssp_bench::harness::{BenchmarkId, Criterion};
+use ssp_bench::history::BenchCell;
 use ssp_bench::{fixture, trajectory};
 use ssp_migratory::bal::{try_bal_with_wap_strategy, BalSolution, ProbeStrategy};
 use ssp_migratory::wap::{Wap, WapKernel};
@@ -101,7 +102,7 @@ fn timed_cell(instance: &Instance, strategy: ProbeStrategy, kernel: WapKernel) -
 
 /// Run the self-timed sweep and collect the cells of the JSON artifact,
 /// plus their diff identities for the in-run regression check.
-fn sweep_artifact() -> (Artifact, Vec<CellMeta>) {
+fn sweep_artifact() -> (Artifact, Vec<BenchCell>) {
     let mut cells = Vec::new();
     let mut metas = Vec::new();
     for family in FAMILIES {

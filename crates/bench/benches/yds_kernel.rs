@@ -17,8 +17,9 @@
 //!   `bench_run` line (tagged with the git revision) to the trajectory
 //!   file — the input of the `speedscale bench-diff` regression gate.
 
-use ssp_bench::artifact::{Artifact, CellBuilder, CellMeta};
+use ssp_bench::artifact::{Artifact, CellBuilder};
 use ssp_bench::harness::{BenchmarkId, Criterion};
+use ssp_bench::history::BenchCell;
 use ssp_bench::{fixture, trajectory};
 use ssp_model::Job;
 use ssp_single::yds::{yds, yds_reference};
@@ -86,7 +87,7 @@ fn timed_cell(
 
 /// Run the self-timed sweep and collect the cells of the JSON artifact,
 /// plus their diff identities for the in-run regression check.
-fn sweep_artifact() -> (Artifact, Vec<CellMeta>) {
+fn sweep_artifact() -> (Artifact, Vec<BenchCell>) {
     let session = ssp_probe::Session::begin();
     let mut cells = Vec::new();
     let mut metas = Vec::new();

@@ -10,9 +10,12 @@
 //!   timing trajectory that `speedscale bench-diff` can gate on.
 //!
 //! Cells are built with [`CellBuilder`]; by convention string fields plus
-//! `n` identify a cell and `*_ms` fields are the gated metrics (see
-//! `docs/OBSERVABILITY.md`).
+//! `n` identify a cell and `*_ms` fields are the gated metrics
+//! ([`crate::history::cell_from`], see `docs/OBSERVABILITY.md`). The reader
+//! side lives in [`crate::history`].
 
+use crate::history::{cell_from, BenchCell};
+use ssp_probe::json::{self, Json};
 use std::fmt::Write as _;
 
 /// Incrementally builds one cell object (`{"family": ..., "n": ..., ...}`).
@@ -26,23 +29,28 @@ impl CellBuilder {
     pub fn new(family: &str, n: usize) -> Self {
         CellBuilder {
             fields: vec![
-                ("family".into(), format!("\"{family}\"")),
+                ("family".into(), json::quote(family)),
                 ("n".into(), n.to_string()),
             ],
         }
     }
 
-    /// Add a timing metric in milliseconds (4 decimals). `name` should end
-    /// in `_ms` so `bench-diff` picks it up.
-    pub fn metric_ms(mut self, name: &str, ms: f64) -> Self {
-        self.fields.push((name.into(), format!("{ms:.4}")));
-        self
+    /// Add a timing metric in milliseconds (4 decimals; non-finite values
+    /// are written as `null`). `name` should end in `_ms` so `bench-diff`
+    /// picks it up.
+    pub fn metric_ms(self, name: &str, ms: f64) -> Self {
+        self.num(name, ms, 4)
     }
 
-    /// Add a contextual float (not gated) with the given decimal places.
+    /// Add a contextual float (not gated) with the given decimal places;
+    /// non-finite values are written as `null`.
     pub fn num(mut self, name: &str, value: f64, decimals: usize) -> Self {
-        self.fields
-            .push((name.into(), format!("{value:.decimals$}")));
+        let text = if value.is_finite() {
+            format!("{value:.decimals$}")
+        } else {
+            Json::Num(value).to_string_compact()
+        };
+        self.fields.push((name.into(), text));
         self
     }
 
@@ -59,44 +67,20 @@ impl CellBuilder {
             if i > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "\"{name}\": {value}");
+            let _ = write!(out, "{}: {value}", json::quote(name));
         }
         out.push('}');
         out
     }
 
-    /// The cell's diff identity and gated metrics, derived by the same
-    /// convention the `bench-diff`/`bench report` readers apply: string
-    /// fields plus `n` (in builder order) form the key, `*_ms` fields are
-    /// the metrics. Used by the trajectory layer to compare a freshly
-    /// measured cell against its history without re-parsing the rendered
-    /// JSON.
-    pub fn meta(&self) -> CellMeta {
-        let mut key = String::new();
-        let mut metrics = Vec::new();
-        for (name, value) in &self.fields {
-            if value.starts_with('"') || name == "n" {
-                if !key.is_empty() {
-                    key.push(',');
-                }
-                let _ = write!(key, "{name}={}", value.trim_matches('"'));
-            } else if name.ends_with("_ms") {
-                if let Ok(ms) = value.parse::<f64>() {
-                    metrics.push((name.clone(), ms));
-                }
-            }
-        }
-        CellMeta { key, metrics }
+    /// The cell's diff identity and gated metrics, read back from
+    /// [`CellBuilder::render`] by the readers' own rule
+    /// ([`cell_from`]), so the in-run check keys a fresh cell exactly as
+    /// its history line will be keyed.
+    pub fn meta(&self) -> BenchCell {
+        let doc = json::parse(&self.render()).expect("a rendered cell is valid JSON");
+        cell_from(&doc)
     }
-}
-
-/// A cell's identity and gated metrics (see [`CellBuilder::meta`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellMeta {
-    /// Stable diff key, e.g. `family=agreeable,n=200`.
-    pub key: String,
-    /// `(name, milliseconds)` for every `*_ms` field, in builder order.
-    pub metrics: Vec<(String, f64)>,
 }
 
 /// One measured bench run, ready to serialize as snapshot and/or history.
@@ -116,10 +100,10 @@ impl Artifact {
     /// Pretty-printed snapshot form (the committed `BENCH_*.json` layout).
     pub fn snapshot_json(&self) -> String {
         format!(
-            "{{\n  \"bench\": \"{}\",\n  \"alpha\": {},\n  \"unit\": \"{}\",\n  \"cells\": [\n{}\n  ]\n}}\n",
-            self.bench,
-            self.alpha,
-            self.unit,
+            "{{\n  \"bench\": {},\n  \"alpha\": {},\n  \"unit\": {},\n  \"cells\": [\n{}\n  ]\n}}\n",
+            json::quote(&self.bench),
+            Json::Num(self.alpha).to_string_compact(),
+            json::quote(&self.unit),
             self.cells
                 .iter()
                 .map(|c| format!("    {c}"))
@@ -146,14 +130,14 @@ impl Artifact {
             .map(|t| format!("\"ts\": {t}, "))
             .unwrap_or_default();
         format!(
-            "{{\"type\": \"bench_run\", \"bench\": \"{}\", \"rev\": \"{}\", \"alpha\": {}, \"unit\": \"{}\", {}\"threads\": {}, \"host\": \"{}\", \"cells\": [{}]}}",
-            self.bench,
-            rev,
-            self.alpha,
-            self.unit,
+            "{{\"type\": \"bench_run\", \"bench\": {}, \"rev\": {}, \"alpha\": {}, \"unit\": {}, {}\"threads\": {}, \"host\": {}, \"cells\": [{}]}}",
+            json::quote(&self.bench),
+            json::quote(rev),
+            Json::Num(self.alpha).to_string_compact(),
+            json::quote(&self.unit),
             ts,
             meta.threads,
-            meta.host,
+            json::quote(&meta.host),
             self.cells.join(", ")
         )
     }
@@ -341,6 +325,20 @@ mod tests {
             "{\"type\": \"bench_run\", \"bench\": \"yds_kernel\", \"rev\": \"abc1234\""
         ));
         assert!(line.contains("\"cells\": [{\"family\""));
+    }
+
+    #[test]
+    fn non_finite_values_render_as_null() {
+        let cell = CellBuilder::new("agreeable", 50)
+            .metric_ms("fast_ms", f64::NAN)
+            .num("speedup", f64::INFINITY, 2);
+        assert_eq!(
+            cell.render(),
+            "{\"family\": \"agreeable\", \"n\": 50, \"fast_ms\": null, \"speedup\": null}"
+        );
+        let meta = cell.meta();
+        assert_eq!(meta.metrics.len(), 1);
+        assert!(meta.metrics[0].1.is_nan());
     }
 
     #[test]

@@ -143,7 +143,7 @@ impl Criterion {
                 bench,
                 &metas,
                 &prior,
-                crate::trajectory::DEFAULT_WINDOW,
+                crate::report::DEFAULT_WINDOW,
             ) {
                 eprintln!(
                     "regressed {bench} {} {}: {:.4} ms vs baseline {:.4} ms (+{:.1}% > band {:.1}%)",

@@ -18,8 +18,11 @@
 //! | `tables` / `exp9_certify` | Table 7 | BAL + KKT certificate |
 //! | `micro` / * | — | max-flow, YDS, interval decomposition primitives |
 //!
-//! This library crate only hosts shared fixtures; the targets live under
-//! `benches/`.
+//! The targets live under `benches/`. This library crate hosts their
+//! shared fixtures and the bench artifacts end to end: the writer
+//! ([`artifact`]), the reader and `bench-diff` gate ([`history`]), the
+//! calibrated trajectory report ([`report`]) behind `speedscale bench
+//! report`, and the in-run regression check ([`trajectory`]).
 //!
 //! Passing `--probe` after `--bench` (or setting `SSP_BENCH_PROBE=1`)
 //! attaches `ssp-probe` counter deltas to each benchmark: one extra
@@ -33,6 +36,8 @@
 
 pub mod artifact;
 pub mod harness;
+pub mod history;
+pub mod report;
 pub mod trajectory;
 
 use ssp_model::Instance;

@@ -12,26 +12,19 @@
 //! to "which span / which counter" via `trace diff` without a manual
 //! repro.
 //!
-//! The history scanner here is intentionally a *reader of our own
-//! writer*: it parses the `bench_run` lines `ssp_bench::artifact` emits
-//! and skips anything else. The full artifact parser (snapshots, foreign
-//! layouts, warning diagnostics) lives in the `speedscale` crate's
-//! `benchdata` module — it cannot be used here because `speedscale`
-//! depends on this crate.
+//! The check is the offline report run one step early: the history is
+//! read by [`crate::history::parse_history`] and judged by
+//! [`crate::report::trajectory_rows`], with the fresh run appended as the
+//! latest point.
 
-use crate::artifact::{resolve_artifact_path, CellMeta};
+use crate::artifact::resolve_artifact_path;
+use crate::history::{parse_history, BenchCell, BenchRun};
+use crate::report::{trajectory_rows, MetricRow, DEFAULT_MIN_MS, DEFAULT_WINDOW};
 use std::path::PathBuf;
 
 /// Environment variable enabling auto-attached traces: the directory
 /// (resolved like artifact paths) regressed-cell traces are written to.
 pub const TRACE_DIR_ENV: &str = "SSP_BENCH_TRACE_DIR";
-
-/// Trailing history runs a cell's noise band is calibrated over.
-pub const DEFAULT_WINDOW: usize = 8;
-
-/// Noise floor in milliseconds: cells whose fresh median sits below this
-/// never count as regressed (same convention as `bench-diff`).
-pub const NOISE_FLOOR_MS: f64 = 0.05;
 
 /// One calibrated crossing: a freshly measured metric outside its cell's
 /// historical noise band.
@@ -53,45 +46,50 @@ pub struct Regression {
 
 /// Compare freshly measured `cells` of `bench` against `history_text`
 /// (the accumulated `BENCH_history.jsonl`, read *before* appending this
-/// run). For every `*_ms` metric with at least one historical sample, the
-/// baseline is the median of the trailing `window` samples and the band
-/// is `ssp_probe::calib::noise_band` over them; crossings above the
-/// [`NOISE_FLOOR_MS`] floor are returned in cell order.
+/// run): the report's [`trajectory_rows`] over the history with the fresh
+/// run appended, so every `*_ms` metric with at least one historical sample
+/// is judged against the median and calibrated band of its trailing
+/// `window` samples. Crossings above the [`DEFAULT_MIN_MS`] floor are
+/// returned in cell order; unreadable history lines are skipped.
 pub fn detect_regressions(
     bench: &str,
-    cells: &[CellMeta],
+    cells: &[BenchCell],
     history_text: &str,
     window: usize,
 ) -> Vec<Regression> {
-    let runs = history_cells(history_text, bench);
+    let (mut runs, _) = parse_history(history_text);
+    runs.retain(|run| run.bench == bench);
+    runs.push(BenchRun {
+        bench: bench.to_string(),
+        rev: String::new(),
+        ts: None,
+        threads: None,
+        host: None,
+        cells: cells.to_vec(),
+    });
+    let rows = trajectory_rows(&runs, window, DEFAULT_MIN_MS);
     let mut out = Vec::new();
     for cell in cells {
-        for (metric, latest) in &cell.metrics {
-            let samples: Vec<f64> = runs
+        // A non-finite fresh value is not a point, so its row's latest
+        // would be an old one.
+        for (metric, latest) in cell.metrics.iter().filter(|(_, v)| v.is_finite()) {
+            let flagged = rows
                 .iter()
-                .filter_map(|run| {
-                    run.iter()
-                        .find(|(key, _)| key == &cell.key)
-                        .and_then(|(_, metrics)| {
-                            metrics.iter().find(|(m, _)| m == metric).map(|&(_, v)| v)
-                        })
-                })
-                .filter(|v| v.is_finite())
-                .collect();
-            let start = samples.len().saturating_sub(window.max(1));
-            let trailing = &samples[start..];
-            let Some(baseline) = ssp_probe::calib::median(trailing) else {
-                continue;
-            };
-            let band = ssp_probe::calib::noise_band(trailing);
-            if ssp_probe::calib::crosses(*latest, baseline, band, NOISE_FLOOR_MS) {
+                .find(|r| r.flagged && r.key == cell.key && &r.metric == metric);
+            if let Some(MetricRow {
+                baseline: Some(baseline),
+                delta: Some(delta),
+                band,
+                ..
+            }) = flagged
+            {
                 out.push(Regression {
                     key: cell.key.clone(),
                     metric: metric.clone(),
                     latest: *latest,
-                    baseline,
-                    band,
-                    delta: latest / baseline - 1.0,
+                    baseline: *baseline,
+                    band: *band,
+                    delta: *delta,
                 });
             }
         }
@@ -105,7 +103,8 @@ pub fn trace_dir() -> Option<String> {
 }
 
 /// A cell key as a filesystem-safe file stem: every character outside
-/// `[A-Za-z0-9._-]` becomes `_`.
+/// `[A-Za-z0-9._-]` becomes `_`. The report looks attachments up by the
+/// same stem.
 pub fn sanitize_key(key: &str) -> String {
     key.chars()
         .map(|c| {
@@ -192,7 +191,7 @@ pub fn parse_family_n(key: &str) -> Option<(String, usize)> {
 /// trace. Returns the regressions so the caller can surface them further.
 pub fn check_and_attach(
     bench: &str,
-    metas: &[CellMeta],
+    metas: &[BenchCell],
     history_path: &str,
     mut rerun: impl FnMut(&str, usize),
 ) -> Vec<Regression> {
@@ -220,232 +219,6 @@ pub fn check_and_attach(
         }
     }
     regs
-}
-
-// ---------------------------------------------------------------------------
-// History scanning (self-emitted bench_run lines only)
-// ---------------------------------------------------------------------------
-
-/// One run's cells as `(key, [(metric, ms)])`.
-type RunCells = Vec<(String, Vec<(String, f64)>)>;
-
-/// Per matching run (file order): the run's cells as
-/// `(key, [(metric, ms)])`, keyed by the same convention the artifact
-/// writer and the `speedscale` readers share — string fields plus `n`
-/// identify, `*_ms` fields measure. Lines that fail to parse, belong to
-/// another bench, or carry no cells are skipped silently: this reader
-/// feeds a best-effort in-run check, and the offline report owns the
-/// diagnostics.
-fn history_cells(text: &str, bench: &str) -> Vec<RunCells> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty())
-        .filter_map(|line| {
-            let v = MiniJson::parse(line)?;
-            if v.member("bench")?.as_str()? != bench {
-                return None;
-            }
-            let cells = v.member("cells")?.as_arr()?;
-            Some(cells.iter().map(cell_key_metrics).collect())
-        })
-        .collect()
-}
-
-/// Key/metric extraction mirroring `speedscale::benchdata::cell_from`.
-fn cell_key_metrics(cell: &MiniJson) -> (String, Vec<(String, f64)>) {
-    use std::fmt::Write as _;
-    let mut key = String::new();
-    let mut metrics = Vec::new();
-    if let MiniJson::Obj(members) = cell {
-        for (name, value) in members {
-            match value {
-                MiniJson::Str(s) => {
-                    if !key.is_empty() {
-                        key.push(',');
-                    }
-                    let _ = write!(key, "{name}={s}");
-                }
-                MiniJson::Num(v) if name == "n" => {
-                    if !key.is_empty() {
-                        key.push(',');
-                    }
-                    let _ = write!(key, "n={v}");
-                }
-                MiniJson::Num(v) if name.ends_with("_ms") => {
-                    metrics.push((name.clone(), *v));
-                }
-                _ => {}
-            }
-        }
-    }
-    (key, metrics)
-}
-
-/// Just enough JSON for the self-emitted history lines: objects, arrays,
-/// strings without exotic escapes, numbers (plus a bare `NaN`, which a
-/// broken writer can produce), booleans and null.
-#[derive(Debug, Clone, PartialEq)]
-enum MiniJson {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<MiniJson>),
-    Obj(Vec<(String, MiniJson)>),
-}
-
-impl MiniJson {
-    fn parse(text: &str) -> Option<MiniJson> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = Self::value(bytes, &mut pos)?;
-        Self::skip_ws(bytes, &mut pos);
-        (pos == bytes.len()).then_some(v)
-    }
-
-    fn member(&self, key: &str) -> Option<&MiniJson> {
-        match self {
-            MiniJson::Obj(m) => m.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            MiniJson::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[MiniJson]> {
-        match self {
-            MiniJson::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while matches!(bytes.get(*pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            *pos += 1;
-        }
-    }
-
-    fn value(bytes: &[u8], pos: &mut usize) -> Option<MiniJson> {
-        Self::skip_ws(bytes, pos);
-        match bytes.get(*pos)? {
-            b'{' => {
-                *pos += 1;
-                let mut members = Vec::new();
-                Self::skip_ws(bytes, pos);
-                if bytes.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Some(MiniJson::Obj(members));
-                }
-                loop {
-                    Self::skip_ws(bytes, pos);
-                    let key = Self::string(bytes, pos)?;
-                    Self::skip_ws(bytes, pos);
-                    (bytes.get(*pos) == Some(&b':')).then_some(())?;
-                    *pos += 1;
-                    members.push((key, Self::value(bytes, pos)?));
-                    Self::skip_ws(bytes, pos);
-                    match bytes.get(*pos)? {
-                        b',' => *pos += 1,
-                        b'}' => {
-                            *pos += 1;
-                            return Some(MiniJson::Obj(members));
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-            b'[' => {
-                *pos += 1;
-                let mut items = Vec::new();
-                Self::skip_ws(bytes, pos);
-                if bytes.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Some(MiniJson::Arr(items));
-                }
-                loop {
-                    items.push(Self::value(bytes, pos)?);
-                    Self::skip_ws(bytes, pos);
-                    match bytes.get(*pos)? {
-                        b',' => *pos += 1,
-                        b']' => {
-                            *pos += 1;
-                            return Some(MiniJson::Arr(items));
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-            b'"' => Some(MiniJson::Str(Self::string(bytes, pos)?)),
-            b't' => Self::literal(bytes, pos, "true", MiniJson::Bool(true)),
-            b'f' => Self::literal(bytes, pos, "false", MiniJson::Bool(false)),
-            b'n' => Self::literal(bytes, pos, "null", MiniJson::Null),
-            b'N' => Self::literal(bytes, pos, "NaN", MiniJson::Num(f64::NAN)),
-            c if *c == b'-' || c.is_ascii_digit() => {
-                let start = *pos;
-                if bytes.get(*pos) == Some(&b'-') {
-                    *pos += 1;
-                }
-                while matches!(bytes.get(*pos), Some(c)
-                    if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-                {
-                    *pos += 1;
-                }
-                std::str::from_utf8(&bytes[start..*pos])
-                    .ok()?
-                    .parse::<f64>()
-                    .ok()
-                    .map(MiniJson::Num)
-            }
-            _ => None,
-        }
-    }
-
-    fn literal(bytes: &[u8], pos: &mut usize, word: &str, v: MiniJson) -> Option<MiniJson> {
-        bytes[*pos..].starts_with(word.as_bytes()).then(|| {
-            *pos += word.len();
-            v
-        })
-    }
-
-    fn string(bytes: &[u8], pos: &mut usize) -> Option<String> {
-        (bytes.get(*pos) == Some(&b'"')).then_some(())?;
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match bytes.get(*pos)? {
-                b'"' => {
-                    *pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match bytes.get(*pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        _ => return None,
-                    }
-                    *pos += 1;
-                }
-                _ => {
-                    let start = *pos;
-                    *pos += 1;
-                    while *pos < bytes.len() && bytes[*pos] & 0xC0 == 0x80 {
-                        *pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&bytes[start..*pos]).ok()?);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -483,7 +256,7 @@ mod tests {
             + "\n"
     }
 
-    fn fresh(fast_ms: f64) -> Vec<CellMeta> {
+    fn fresh(fast_ms: f64) -> Vec<BenchCell> {
         vec![CellBuilder::new("agreeable", 200)
             .metric_ms("fast_ms", fast_ms)
             .meta()]

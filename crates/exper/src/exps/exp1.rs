@@ -7,12 +7,12 @@
 //! the residual gap there is the (small) price of forbidding migration, not
 //! a deficiency of RR.
 
-use crate::par::par_map;
 use crate::table::{max, mean, Table};
 use crate::RunCfg;
 use ssp_core::exact::exact_nonmigratory;
 use ssp_core::rr::rr_assignment;
 use ssp_migratory::bal::bal;
+use ssp_model::par::par_map;
 use ssp_workloads::{families, subseed};
 
 /// Run EXP-1.

@@ -9,12 +9,12 @@
 //!
 //! Ratios against the migratory lower bound, as in EXP-3/4.
 
-use crate::par::par_map;
 use crate::table::{max, mean, Table};
 use crate::RunCfg;
 use ssp_core::classified::classified_assignment_with_base;
 use ssp_core::relax::{relax_round_with, RoundingOrder};
 use ssp_migratory::bal::bal;
+use ssp_model::par::par_map;
 use ssp_workloads::{families, subseed};
 
 /// Run EXP-10.

@@ -11,10 +11,10 @@
 //! levels, and far below the worst-case bound (the optimum spends most time
 //! near its few distinct speeds, not at the worst point of a bracket).
 
-use crate::par::par_map;
 use crate::table::{max, mean, Cell, Table};
 use crate::RunCfg;
 use ssp_migratory::bal::bal;
+use ssp_model::par::par_map;
 use ssp_model::quantize::{quantize_speeds, two_level_overhead, SpeedLevels};
 use ssp_workloads::{families, subseed};
 

@@ -10,11 +10,11 @@
 //! (that's the definition of the peak), greedy within a few percent of the
 //! exact optimum throughout.
 
-use crate::par::par_map;
 use crate::table::{mean, min, Cell, Table};
 use crate::RunCfg;
 use ssp_core::throughput::{max_throughput_exact, max_throughput_greedy};
 use ssp_migratory::bounded::min_peak_speed;
+use ssp_model::par::par_map;
 use ssp_workloads::{families, subseed};
 
 /// Run EXP-12.

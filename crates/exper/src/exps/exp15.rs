@@ -7,11 +7,11 @@
 //! approaches the point where the remaining capacity binds, and larger for
 //! smaller `m` (losing 1 of 2 machines hurts more than 1 of 8).
 
-use crate::par::par_map;
 use crate::table::{max, mean, Cell, Table};
 use crate::RunCfg;
 use ssp_migratory::bal::bal;
 use ssp_migratory::downtime::{bal_with_downtime, violates_downtime, Downtime};
+use ssp_model::par::par_map;
 use ssp_workloads::{families, subseed};
 
 /// Run EXP-15.

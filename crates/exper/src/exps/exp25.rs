@@ -35,9 +35,10 @@ fn noise(seed: u64, i: u64, amp: f64) -> f64 {
     1.0 + amp * (((s % 401) as f64 - 200.0) / 200.0)
 }
 
-/// The attachment file stem convention shared by `ssp_bench::trajectory`
-/// (writer) and `speedscale::benchreport` (reader): every character
-/// outside `[A-Za-z0-9._-]` becomes `_`.
+/// The attachment file stem convention of `ssp_bench::trajectory`, which
+/// both its writer and `ssp_bench::report` use (this crate cannot depend
+/// on `ssp-bench`, which depends on it): every character outside
+/// `[A-Za-z0-9._-]` becomes `_`.
 fn sanitize_key(key: &str) -> String {
     key.chars()
         .map(|c| {

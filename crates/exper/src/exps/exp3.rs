@@ -9,13 +9,13 @@
 //! measured ratios stay flat — i.e. the analysis, not the algorithm, carries
 //! the `m`/`α` dependence.
 
-use crate::par::par_map;
 use crate::table::{max, mean, Table};
 use crate::RunCfg;
 use ssp_core::list::{least_loaded, marginal_energy_greedy};
 use ssp_core::relax::relax_round;
 use ssp_core::rr::rr_assignment;
 use ssp_migratory::bal::bal;
+use ssp_model::par::par_map;
 use ssp_workloads::{families, subseed};
 
 /// Run EXP-3.

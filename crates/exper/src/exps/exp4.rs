@@ -7,13 +7,13 @@
 //! the bound explodes — classification is cheap in practice, expensive only
 //! in analysis.
 
-use crate::par::par_map;
 use crate::table::{max, mean, Table};
 use crate::RunCfg;
 use ssp_core::classified::classified_assignment;
 use ssp_core::list::marginal_energy_greedy;
 use ssp_core::rr::rr_assignment;
 use ssp_migratory::bal::bal;
+use ssp_model::par::par_map;
 use ssp_workloads::{families, subseed};
 
 /// Run EXP-4.

@@ -7,11 +7,11 @@
 //! with `m` (more fragmentation) and shrinks with laxity (loose windows let
 //! any machine absorb any job).
 
-use crate::par::par_map;
 use crate::table::{max, mean, Table};
 use crate::RunCfg;
 use ssp_core::exact::exact_nonmigratory;
 use ssp_migratory::bal::bal;
+use ssp_model::par::par_map;
 use ssp_workloads::{subseed, Spec, WindowDist, WorkDist};
 
 /// Run EXP-5.

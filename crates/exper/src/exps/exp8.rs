@@ -8,11 +8,11 @@
 //! commits), Dispatch-OA close behind OA-m (the price of never migrating,
 //! online), and all → 1 as inputs become predictable.
 
-use crate::par::par_map;
 use crate::table::{max, mean, Table};
 use crate::RunCfg;
 use ssp_core::online::{avr_m_energy, dispatch_oa_nonmigratory, oa_m};
 use ssp_migratory::bal::bal;
+use ssp_model::par::par_map;
 use ssp_workloads::{families, subseed};
 
 /// Run EXP-8.

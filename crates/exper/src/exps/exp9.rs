@@ -10,12 +10,12 @@
 //!
 //! Every row must read `pass = total`; the runner asserts it.
 
-use crate::par::par_map;
 use crate::table::Table;
 use crate::RunCfg;
 use ssp_migratory::bal::bal;
 use ssp_migratory::kkt::certify;
 use ssp_model::numeric::Tol;
+use ssp_model::par::par_map;
 use ssp_model::{Instance, Job};
 use ssp_single::yds::yds;
 use ssp_workloads::{families, subseed};

@@ -10,7 +10,7 @@
 //!
 //! Structure:
 //! * [`table`] — lightweight result tables with Markdown and CSV emitters.
-//! * [`par`] — a scoped-thread parallel map for seed/parameter sweeps (no
+//! * Seed/parameter sweeps fan out with [`ssp_model::par::par_map`] (no
 //!   external thread-pool dependency; plain `std::thread::scope`).
 //! * [`exps`] — one module per experiment, all driven by a [`RunCfg`].
 //!
@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod exps;
-pub mod par;
 pub mod table;
 
 pub use table::Table;

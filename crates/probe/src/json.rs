@@ -1,14 +1,19 @@
-//! A minimal JSON value type with a hardened parser and a writer.
+//! The workspace's one JSON codec: a value type, a hardened parser and a
+//! writer.
 //!
-//! The workspace is deliberately dependency-free, so the serve protocol
-//! carries its own JSON layer rather than pulling in serde. The parser is
+//! The workspace is deliberately dependency-free, so it carries its own
+//! JSON layer rather than pulling in serde. Three surfaces share it: the
+//! serve wire (`ssp-serve`), bench artifacts and `BENCH_history.jsonl`
+//! (`ssp-bench`), and probe traces ([`crate::Trace`]). The parser is
 //! written for a *hostile* wire: it is recursive-descent with an explicit
 //! nesting-depth cap (a 10 kB `[[[[…` bomb must return a parse error, not
 //! blow the worker's stack), rejects trailing garbage, and never panics on
 //! any byte sequence. The writer escapes control characters and maps
 //! non-finite numbers to `null` (JSON has no `NaN`), and `f64` values are
 //! emitted with Rust's shortest-round-trip formatting so energies survive
-//! a response→parse cycle bit for bit.
+//! a response→parse cycle bit for bit. Unsigned integer literals that an
+//! `f64` cannot hold exactly (above 2^53) parse as [`Json::UInt`], so trace
+//! counters and nanosecond stamps survive a round trip for every `u64`.
 
 use std::fmt::Write as _;
 
@@ -18,6 +23,9 @@ use std::fmt::Write as _;
 /// stack.
 const MAX_DEPTH: usize = 64;
 
+/// 2^53: every integer up to here is an exact `f64`.
+const EXACT_F64_INT: f64 = 9_007_199_254_740_992.0;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -25,8 +33,12 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (always carried as `f64`).
+    /// A JSON number, as `f64`.
     Num(f64),
+    /// An unsigned integer literal past 2^53 that an `f64` would round.
+    /// The parser produces it only for those; every other number is a
+    /// [`Json::Num`].
+    UInt(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -53,10 +65,12 @@ impl Json {
         }
     }
 
-    /// The numeric payload, if this is a number.
+    /// The numeric payload, if this is a number ([`Json::UInt`] rounds to
+    /// the nearest `f64`).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
+            Json::UInt(n) => Some(*n as f64),
             _ => None,
         }
     }
@@ -67,6 +81,7 @@ impl Json {
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
                 Some(*n as u64)
             }
+            Json::UInt(n) => Some(*n),
             _ => None,
         }
     }
@@ -106,6 +121,9 @@ impl Json {
                     out.push_str("null");
                 }
             }
+            Json::UInt(n) => {
+                let _ = write!(out, "{n}");
+            }
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -131,6 +149,13 @@ impl Json {
             }
         }
     }
+}
+
+/// `s` as a quoted JSON string literal, escaped as the writer escapes.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_escaped(s, &mut out);
+    out
 }
 
 fn write_escaped(s: &str, out: &mut String) {
@@ -212,6 +237,14 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     if !n.is_finite() {
         return Err(format!("non-finite number '{slice}' at byte {start}"));
     }
+    // Only integers past 2^53 can round; keep those exact when they fit.
+    if n >= EXACT_F64_INT && slice.bytes().all(|b| b.is_ascii_digit()) {
+        if let Ok(u) = slice.parse::<u64>() {
+            if u as f64 as u128 != u as u128 {
+                return Ok(Json::UInt(u));
+            }
+        }
+    }
     Ok(Json::Num(n))
 }
 
@@ -270,11 +303,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 return Err(format!("raw control byte in string at {pos}", pos = *pos))
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is &str, so this is valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "non-utf8 string")?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy a run of plain bytes at once. The run starts and ends
+                // at ASCII bytes of a &str, so it is valid UTF-8; validating
+                // only the run keeps long strings linear, not quadratic.
+                let start = *pos;
+                while matches!(bytes.get(*pos), Some(&b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                    *pos += 1;
+                }
+                let run =
+                    std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "non-utf8 string")?;
+                out.push_str(run);
             }
         }
     }
@@ -351,6 +389,8 @@ mod tests {
     fn round_trips_the_basic_shapes() {
         for text in [
             r#"{"a":1,"b":[true,false,null],"c":"x\ny","d":{"e":-2.5e3}}"#,
+            r#"{"a": [1, -2.5, 3e2], "b": {"c": "x\ny", "d": true, "e": null}}"#,
+            "[9007199254740993,18446744073709551615,18446744073709551616]",
             "[]",
             "{}",
             r#""just a string""#,
@@ -372,6 +412,15 @@ mod tests {
     }
 
     #[test]
+    fn long_strings_round_trip() {
+        // Revalidating the rest of the input per character would take
+        // minutes on a string this long; decoding must stay linear.
+        let s = "é".repeat(1 << 19);
+        let v = parse(&Json::Str(s.clone()).to_string_compact()).unwrap();
+        assert_eq!(v.as_str(), Some(s.as_str()));
+    }
+
+    #[test]
     fn depth_bomb_is_an_error_not_a_stack_overflow() {
         let bomb = "[".repeat(10_000);
         assert!(parse(&bomb).is_err());
@@ -389,6 +438,8 @@ mod tests {
             "{\"a\":}",
             "nulll x",
             "1 2",
+            "[1,2",
+            "{} trailing",
             "\"unterminated",
             "\"bad \\q escape\"",
             "\"ctrl \u{0}\"",
@@ -416,5 +467,37 @@ mod tests {
         assert_eq!(v.get("b").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 1);
         assert!(v.get("missing").is_none());
+        let nested = parse(r#"{"a": [1, -2.5, 3e2], "b": {"c": "x\ny", "d": true}}"#).unwrap();
+        assert_eq!(
+            nested.get("a").unwrap().as_arr().unwrap()[2].as_f64(),
+            Some(300.0)
+        );
+        assert_eq!(
+            nested.get("b").unwrap().get("c").unwrap().as_str(),
+            Some("x\ny")
+        );
+        assert_eq!(nested.get("b").unwrap().get("d"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn integers_past_2_pow_53_stay_exact() {
+        let big = (1u64 << 53) + 1;
+        let v = parse(&format!("[{big},{},9007199254740992,1e16]", u64::MAX)).unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0], Json::UInt(big));
+        assert_eq!(items[0].as_u64(), Some(big));
+        assert_eq!(items[1].as_u64(), Some(u64::MAX));
+        // Integers an f64 holds exactly, and non-literal forms, stay Num.
+        assert_eq!(items[2], Json::Num(9007199254740992.0));
+        assert_eq!(items[3], Json::Num(1e16));
+        assert_eq!(
+            v.to_string_compact(),
+            format!("[{big},{},9007199254740992,10000000000000000]", u64::MAX)
+        );
+        // Past u64 there is nothing exact to keep: the f64 reading stands.
+        assert_eq!(
+            parse("18446744073709551616").unwrap(),
+            Json::Num(18446744073709551616.0)
+        );
     }
 }

@@ -78,6 +78,7 @@ use std::time::Instant;
 #[cfg(feature = "probe-alloc")]
 mod alloc;
 pub mod calib;
+pub mod json;
 mod trace;
 
 pub use trace::{bucket_of, bucket_upper, diff, HistRec, SpanRec, Trace, HIST_BUCKETS};

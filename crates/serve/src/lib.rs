@@ -21,10 +21,13 @@
 #![warn(missing_docs)]
 
 pub mod fingerprint;
-pub mod json;
 pub mod protocol;
 pub mod retry;
 pub mod server;
+
+/// The wire codec, re-exported from [`ssp_probe::json`] for callers that
+/// reach it through the service crate.
+pub use ssp_probe::json;
 
 pub use fingerprint::{CachedResult, Fingerprint, ResultCache};
 pub use protocol::{parse_request, OkResponse, Reject, Request};

@@ -14,9 +14,9 @@
 //! same writer as the success path. See `docs/SERVE.md` for the full field
 //! tables.
 
-use crate::json::{self, Json};
 use ssp_harness::Algo;
 use ssp_model::{io, Instance};
+use ssp_probe::json::{self, Json};
 use std::time::Duration;
 
 /// A parsed, validated solve request.

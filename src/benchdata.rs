@@ -1,615 +1,10 @@
-//! Bench artifact parsing and the `bench-diff` regression gate.
-//!
-//! The bench harness writes two kinds of artifacts (see
-//! `docs/OBSERVABILITY.md`):
-//!
-//! * **Snapshots** — one pretty-printed JSON object per file
-//!   (`BENCH_yds.json`): `{"bench":..., "unit":..., "cells":[{...}, ...]}`.
-//! * **Trajectories** — `BENCH_history.jsonl`, one flat-written JSON object
-//!   per line with `"type":"bench_run"`, the git `rev`, and the same cells;
-//!   appended by every measured bench run.
-//!
-//! Both are parsed by the small recursive-descent JSON reader in this
-//! module (the trace JSONL parser in `ssp-probe` is deliberately flat-only,
-//! and bench cells nest). Cells are keyed by their string-valued fields
-//! plus `n` (e.g. `family=agreeable,n=200`) and compared on their `*_ms`
-//! fields; other numeric fields (speedups, counters, energies) ride along
-//! as context but are not gated.
+//! Tests of the bench-artifact reader and gate in [`ssp_bench::history`].
+//! They live in the root package, beside the CLI that calls that module,
+//! so that `cargo test` at the repository root (which runs only this
+//! package) covers the writer↔reader contract.
 
-use std::fmt::Write as _;
-
-// ---------------------------------------------------------------------------
-// Minimal recursive JSON
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Minimal by design: just enough for bench artifacts.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number, as `f64`.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, preserving member order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member `key` of an object (`None` for other variants / missing keys).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parse one JSON document (objects, arrays, strings, numbers, booleans,
-/// null). Errors carry a byte offset for context.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing content at byte {}", p.pos));
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        if self.peek() == Some(want) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", want as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            // Not JSON, but a writer formatting a poisoned f64 emits the
-            // bare token; accepting it lets the reader drop the one metric
-            // instead of rejecting the whole line.
-            Some(b'N') => self.literal("NaN", Json::Num(f64::NAN)),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected value at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            members.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let escape = self
-                        .peek()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(hex)
-                                    .ok_or_else(|| "bad \\u codepoint".to_string())?,
-                            );
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| "invalid UTF-8 in string".to_string())?,
-                    );
-                }
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Bench artifacts
-// ---------------------------------------------------------------------------
-
-/// One measured cell: a stable key (string fields + `n`) and its timing
-/// metrics (every `*_ms` field).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchCell {
-    /// Stable identity, e.g. `family=agreeable,n=200`.
-    pub key: String,
-    /// `(name, milliseconds)` for every `*_ms` field, in artifact order.
-    pub metrics: Vec<(String, f64)>,
-}
-
-/// A parsed bench artifact: either one snapshot object or the last run of a
-/// `BENCH_history.jsonl` trajectory.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchArtifact {
-    /// Bench id (`"yds_kernel"`); empty if the artifact does not carry one.
-    pub bench: String,
-    /// Git revision for history lines; `None` for snapshot files.
-    pub rev: Option<String>,
-    /// The measured cells.
-    pub cells: Vec<BenchCell>,
-}
-
-/// Parse a bench artifact from file text. A single JSON object is read as a
-/// snapshot; multi-line text is treated as a history trajectory and the
-/// *last* line carrying a `cells` array wins (the most recent run).
-pub fn parse_artifact(text: &str) -> Result<BenchArtifact, String> {
-    // Snapshots are one (possibly pretty-printed) document; history files
-    // are strict JSONL. Try the whole text first, then fall back to the
-    // last history line carrying cells (the most recent run).
-    let doc = match parse_json(text.trim()) {
-        Ok(doc) => doc,
-        Err(whole_err) => text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty())
-            .rev()
-            .find_map(|l| parse_json(l).ok().filter(|j| j.get("cells").is_some()))
-            .ok_or_else(|| {
-                format!(
-                    "neither a JSON snapshot ({whole_err}) nor a JSONL history with a 'cells' line"
-                )
-            })?,
-    };
-    let cells = doc
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "artifact has no 'cells' array".to_string())?;
-    Ok(BenchArtifact {
-        bench: doc
-            .get("bench")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string(),
-        rev: doc.get("rev").and_then(Json::as_str).map(str::to_string),
-        cells: cells.iter().map(cell_from).collect(),
-    })
-}
-
-/// One `bench_run` line of a `BENCH_history.jsonl` trajectory, with the
-/// run-level environment metadata newer writers append (`None` on v1
-/// lines, which carried none).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRun {
-    /// Bench id (`"yds_kernel"`).
-    pub bench: String,
-    /// Short git revision the run was taken at.
-    pub rev: String,
-    /// Unix timestamp of the HEAD commit at run time.
-    pub ts: Option<f64>,
-    /// Effective worker thread count of the run.
-    pub threads: Option<u64>,
-    /// Host fingerprint (hex hash); cross-host comparisons are noise.
-    pub host: Option<String>,
-    /// The measured cells, deduplicated by key (first occurrence wins).
-    pub cells: Vec<BenchCell>,
-}
-
-/// Parse a whole history trajectory: every `bench_run` line, in file
-/// order, with per-line resilience. Malformed lines (e.g. a run killed
-/// mid-append leaving a truncated tail), duplicate cell keys within one
-/// run, and non-finite `*_ms` metrics are *skipped with a warning* rather
-/// than failing the parse — one bad append must not take down the whole
-/// trajectory report. Lines that parse but are not `bench_run` records
-/// are ignored silently (the file format admits other record types).
-pub fn parse_history(text: &str) -> (Vec<BenchRun>, Vec<String>) {
-    let mut runs = Vec::new();
-    let mut warnings = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let lineno = idx + 1;
-        let doc = match parse_json(line) {
-            Ok(doc) => doc,
-            Err(e) => {
-                warnings.push(format!("line {lineno}: skipped unparseable line ({e})"));
-                continue;
-            }
-        };
-        if doc.get("type").and_then(Json::as_str) != Some("bench_run") {
-            continue;
-        }
-        let Some(cells) = doc.get("cells").and_then(Json::as_arr) else {
-            warnings.push(format!("line {lineno}: bench_run without a 'cells' array"));
-            continue;
-        };
-        let mut run = BenchRun {
-            bench: doc
-                .get("bench")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            rev: doc
-                .get("rev")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            ts: doc.get("ts").and_then(Json::as_f64),
-            threads: doc
-                .get("threads")
-                .and_then(Json::as_f64)
-                .filter(|t| t.is_finite() && *t >= 0.0)
-                .map(|t| t as u64),
-            host: doc.get("host").and_then(Json::as_str).map(str::to_string),
-            cells: Vec::new(),
-        };
-        for cell in cells {
-            let mut parsed = cell_from(cell);
-            parsed.metrics.retain(|(name, v)| {
-                if v.is_finite() {
-                    true
-                } else {
-                    warnings.push(format!(
-                        "line {lineno}: dropped non-finite metric {name} of cell {}",
-                        parsed.key
-                    ));
-                    false
-                }
-            });
-            if run.cells.iter().any(|c| c.key == parsed.key) {
-                warnings.push(format!(
-                    "line {lineno}: duplicate cell {} (kept the first)",
-                    parsed.key
-                ));
-                continue;
-            }
-            run.cells.push(parsed);
-        }
-        runs.push(run);
-    }
-    (runs, warnings)
-}
-
-/// Key = string fields plus `n` (in member order); metrics = `*_ms` fields.
-fn cell_from(obj: &Json) -> BenchCell {
-    let mut key = String::new();
-    let mut metrics = Vec::new();
-    if let Json::Obj(members) = obj {
-        for (name, value) in members {
-            match value {
-                Json::Str(s) => {
-                    if !key.is_empty() {
-                        key.push(',');
-                    }
-                    let _ = write!(key, "{name}={s}");
-                }
-                Json::Num(v) if name == "n" => {
-                    if !key.is_empty() {
-                        key.push(',');
-                    }
-                    let _ = write!(key, "n={v}");
-                }
-                Json::Num(v) if name.ends_with("_ms") => {
-                    metrics.push((name.clone(), *v));
-                }
-                _ => {}
-            }
-        }
-    }
-    BenchCell { key, metrics }
-}
-
-// ---------------------------------------------------------------------------
-// The regression gate
-// ---------------------------------------------------------------------------
-
-/// One compared metric in [`BenchDiff`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiffRow {
-    /// Cell key (`family=...,n=...`).
-    pub key: String,
-    /// Metric name (`fast_ms`, `ref_ms`, ...).
-    pub metric: String,
-    /// Old (baseline) milliseconds.
-    pub old_ms: f64,
-    /// New milliseconds.
-    pub new_ms: f64,
-    /// Relative change, `new/old - 1`.
-    pub delta: f64,
-    /// Past the threshold *and* above the noise floor.
-    pub regressed: bool,
-}
-
-/// The result of comparing two bench artifacts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchDiff {
-    /// Every metric present in both artifacts, in new-artifact order.
-    pub rows: Vec<DiffRow>,
-    /// Cell keys present in the baseline but gone from the new artifact.
-    pub missing: Vec<String>,
-    /// Cell keys new in this run (no baseline to compare).
-    pub added: Vec<String>,
-    /// The relative regression threshold used (fraction, e.g. `0.10`).
-    pub threshold: f64,
-    /// The noise floor used: cells whose new median is below this many
-    /// milliseconds are reported but never gate (tiny-n cells are
-    /// dominated by fixed kernel overhead and timer noise).
-    pub min_ms: f64,
-}
-
-impl BenchDiff {
-    /// Number of gating regressions.
-    pub fn regressions(&self) -> usize {
-        self.rows.iter().filter(|r| r.regressed).count()
-    }
-
-    /// Human-readable comparison table; regressions are flagged with `!`.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<36} {:<10} {:>10} {:>10} {:>9}",
-            "cell", "metric", "old", "new", "delta"
-        );
-        for r in &self.rows {
-            let flag = if r.regressed {
-                " !"
-            } else if r.delta.abs() >= self.threshold {
-                // Crossed the threshold but under the noise floor (or an
-                // improvement): visible, not gating.
-                " ~"
-            } else {
-                ""
-            };
-            let _ = writeln!(
-                out,
-                "{:<36} {:<10} {:>10.4} {:>10.4} {:>+8.1}%{flag}",
-                r.key,
-                r.metric,
-                r.old_ms,
-                r.new_ms,
-                r.delta * 100.0
-            );
-        }
-        for key in &self.missing {
-            let _ = writeln!(out, "{key:<36} missing from new artifact");
-        }
-        for key in &self.added {
-            let _ = writeln!(out, "{key:<36} new cell (no baseline)");
-        }
-        let n = self.regressions();
-        let _ = writeln!(
-            out,
-            "{n} regression(s) past {:.0}% (noise floor {} ms)",
-            self.threshold * 100.0,
-            self.min_ms
-        );
-        out
-    }
-}
-
-/// Compare `new` against the `old` baseline. A row gates (`regressed`)
-/// when its relative slowdown reaches `threshold` and the new median is at
-/// least `min_ms` (sub-floor cells — e.g. the n=50 YDS cells, which sit in
-/// fixed-overhead territory — never gate).
-pub fn diff_artifacts(
-    old: &BenchArtifact,
-    new: &BenchArtifact,
-    threshold: f64,
-    min_ms: f64,
-) -> BenchDiff {
-    let mut rows = Vec::new();
-    let mut missing = Vec::new();
-    let mut added = Vec::new();
-    for cell in &new.cells {
-        let Some(base) = old.cells.iter().find(|c| c.key == cell.key) else {
-            added.push(cell.key.clone());
-            continue;
-        };
-        for (metric, new_ms) in &cell.metrics {
-            let Some(&(_, old_ms)) = base.metrics.iter().find(|(m, _)| m == metric) else {
-                continue;
-            };
-            let delta = if old_ms > 0.0 {
-                new_ms / old_ms - 1.0
-            } else {
-                0.0
-            };
-            rows.push(DiffRow {
-                key: cell.key.clone(),
-                metric: metric.clone(),
-                old_ms,
-                new_ms: *new_ms,
-                delta,
-                regressed: delta >= threshold && *new_ms >= min_ms && old_ms > 0.0,
-            });
-        }
-    }
-    for cell in &old.cells {
-        if !new.cells.iter().any(|c| c.key == cell.key) {
-            missing.push(cell.key.clone());
-        }
-    }
-    BenchDiff {
-        rows,
-        missing,
-        added,
-        threshold,
-        min_ms,
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn json_parser_handles_nesting_and_numbers() {
-        let doc = parse_json(r#"{"a": [1, -2.5, 3e2], "b": {"c": "x\ny", "d": true, "e": null}}"#)
-            .unwrap();
-        assert_eq!(
-            doc.get("a").unwrap().as_arr().unwrap()[2].as_f64(),
-            Some(300.0)
-        );
-        assert_eq!(
-            doc.get("b").unwrap().get("c").unwrap().as_str(),
-            Some("x\ny")
-        );
-        assert_eq!(doc.get("b").unwrap().get("d"), Some(&Json::Bool(true)));
-        assert!(parse_json("{\"a\":}").is_err());
-        assert!(parse_json("[1,2").is_err());
-        assert!(parse_json("{} trailing").is_err());
-    }
+    use ssp_bench::history::*;
 
     fn snapshot(fast_200: f64) -> String {
         format!(
@@ -765,13 +160,41 @@ mod tests {
 
     #[test]
     fn nan_metrics_are_dropped_with_warning() {
-        // A writer formatting f64::NAN emits the bare token; the line must
-        // survive with that one metric dropped.
-        let text = r#"{"type":"bench_run","bench":"b","rev":"aaa","cells":[{"family":"x","n":5,"bad_ms":NaN,"good_ms":1.5}]}"#;
-        let (runs, warnings) = parse_history(text);
+        // The writer spells a poisoned f64 as `null`; the line must survive
+        // with that one metric dropped.
+        use ssp_bench::artifact::{Artifact, CellBuilder, RunMeta};
+        let text = Artifact {
+            bench: "b".into(),
+            alpha: 2.0,
+            unit: "ms_median".into(),
+            cells: vec![CellBuilder::new("x", 5)
+                .metric_ms("bad_ms", f64::NAN)
+                .metric_ms("good_ms", 1.5)
+                .render()],
+        }
+        .history_line_with(
+            "aaa",
+            &RunMeta {
+                commit_ts: None,
+                threads: 1,
+                host: "ab12cd34".into(),
+            },
+        );
+        assert!(!text.contains("NaN"), "{text}");
+        let (runs, warnings) = parse_history(&text);
         assert_eq!(runs[0].cells[0].metrics, vec![("good_ms".to_string(), 1.5)]);
         assert_eq!(warnings.len(), 1);
         assert!(warnings[0].contains("bad_ms"), "{warnings:?}");
+        // A bare `NaN` token is not JSON: the whole line is skipped with a
+        // line-level warning, not a panic.
+        let bare = r#"{"type":"bench_run","bench":"b","rev":"aaa","cells":[{"family":"x","n":5,"bad_ms":NaN,"good_ms":1.5}]}"#;
+        let (runs, warnings) = parse_history(bare);
+        assert!(runs.is_empty());
+        assert_eq!(warnings.len(), 1);
+        assert!(
+            warnings[0].contains("line 1: skipped unparseable line"),
+            "{warnings:?}"
+        );
     }
 
     /// Writer/reader contract over the run metadata: `history_line_with`

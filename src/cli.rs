@@ -799,7 +799,7 @@ fn trace_cmd(parsed: &Parsed) -> Result<String, CliError> {
 /// comparison table; regressions past the threshold make it an exit-1
 /// runtime error (with the same table as the message) so CI can gate on it.
 fn bench_diff_cmd(parsed: &Parsed) -> Result<String, CliError> {
-    use crate::benchdata;
+    use ssp_bench::{history, report};
     let (old_path, new_path) = match (parsed.positional.first(), parsed.positional.get(1)) {
         (Some(a), Some(b)) => (a, b),
         _ => {
@@ -809,7 +809,9 @@ fn bench_diff_cmd(parsed: &Parsed) -> Result<String, CliError> {
         }
     };
     let threshold: f64 = parsed.flag_parse("threshold")?.unwrap_or(10.0);
-    let min_ms: f64 = parsed.flag_parse("min-ms")?.unwrap_or(0.05);
+    let min_ms: f64 = parsed
+        .flag_parse("min-ms")?
+        .unwrap_or(report::DEFAULT_MIN_MS);
     if threshold.is_nan() || threshold < 0.0 || min_ms.is_nan() || min_ms < 0.0 {
         return Err(CliError::usage("--threshold and --min-ms must be >= 0"));
     }
@@ -818,11 +820,11 @@ fn bench_diff_cmd(parsed: &Parsed) -> Result<String, CliError> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
         artifacts.push(
-            benchdata::parse_artifact(&text)
+            history::parse_artifact(&text)
                 .map_err(|e| CliError::runtime(format!("cannot parse {path}: {e}")))?,
         );
     }
-    let diff = benchdata::diff_artifacts(&artifacts[0], &artifacts[1], threshold / 100.0, min_ms);
+    let diff = history::diff_artifacts(&artifacts[0], &artifacts[1], threshold / 100.0, min_ms);
     let mut out = String::new();
     if !diff.rows.is_empty() || !diff.missing.is_empty() || !diff.added.is_empty() {
         let _ = writeln!(
@@ -850,7 +852,7 @@ fn bench_diff_cmd(parsed: &Parsed) -> Result<String, CliError> {
 /// cells. `--gate` turns any flagged cell into an exit-1 runtime error
 /// (with the full report as the message) so CI can gate on it.
 fn bench_cmd(parsed: &Parsed) -> Result<String, CliError> {
-    use crate::{benchdata, benchreport};
+    use ssp_bench::{history, report};
     let sub = parsed
         .positional
         .first()
@@ -867,13 +869,13 @@ fn bench_cmd(parsed: &Parsed) -> Result<String, CliError> {
         .ok_or_else(|| CliError::usage("bench report needs a history.jsonl file"))?;
     let window: usize = parsed
         .flag_parse("window")?
-        .unwrap_or(benchreport::DEFAULT_WINDOW);
+        .unwrap_or(report::DEFAULT_WINDOW);
     if window == 0 {
         return Err(CliError::usage("--window must be >= 1"));
     }
     let min_ms: f64 = parsed
         .flag_parse("min-ms")?
-        .unwrap_or(benchreport::DEFAULT_MIN_MS);
+        .unwrap_or(report::DEFAULT_MIN_MS);
     if min_ms.is_nan() || min_ms < 0.0 {
         return Err(CliError::usage("--min-ms must be >= 0"));
     }
@@ -892,14 +894,14 @@ fn bench_cmd(parsed: &Parsed) -> Result<String, CliError> {
     };
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
-    let (runs, warnings) = benchdata::parse_history(&text);
-    let rows = benchreport::trajectory_rows(&runs, window, min_ms);
+    let (runs, warnings) = history::parse_history(&text);
+    let rows = report::trajectory_rows(&runs, window, min_ms);
     let mut out = String::new();
     for w in &warnings {
         let _ = writeln!(out, "warning: {path}: {w}");
     }
-    out.push_str(&benchreport::render(&rows, markdown));
-    let attachments = benchreport::render_attachments(&rows, &trace_dir);
+    out.push_str(&report::render(&rows, markdown));
+    let attachments = report::render_attachments(&rows, &trace_dir);
     if !attachments.is_empty() {
         if markdown {
             // Keep the trace section readable inside a GitHub summary.
@@ -911,7 +913,7 @@ fn bench_cmd(parsed: &Parsed) -> Result<String, CliError> {
             out.push_str(&attachments);
         }
     }
-    if gate && benchreport::flagged(&rows) > 0 {
+    if gate && report::flagged(&rows) > 0 {
         return Err(CliError::runtime(out));
     }
     Ok(out)
@@ -1165,7 +1167,7 @@ fn serve_drive_cmd(parsed: &Parsed) -> Result<String, CliError> {
     }
     #[cfg(unix)]
     {
-        use ssp_serve::json::Json;
+        use ssp_probe::json::Json;
         use std::io::{BufRead, BufReader, Write};
         use std::os::unix::net::UnixStream;
 
@@ -1233,7 +1235,7 @@ fn serve_drive_cmd(parsed: &Parsed) -> Result<String, CliError> {
                 continue;
             }
             got += 1;
-            match ssp_serve::json::parse(&line) {
+            match ssp_probe::json::parse(&line) {
                 Ok(v) => match v.get("status").and_then(|s| s.as_str()) {
                     Some("ok") => {
                         ok += 1;

@@ -53,8 +53,10 @@
 
 #![warn(missing_docs)]
 
-pub mod benchdata;
-pub mod benchreport;
+#[cfg(test)]
+mod benchdata;
+#[cfg(test)]
+mod benchreport;
 pub mod cli;
 
 pub use ssp_core as core;
