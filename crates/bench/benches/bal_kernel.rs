@@ -8,12 +8,11 @@
 //!
 //! * harness timing lines (`cargo bench -p ssp-bench --bench bal_kernel`),
 //!   one benchmark per (family, n, strategy);
-//! * a machine-readable artifact: set `SSP_BENCH_JSON=<path>` in measurement
+//! * a trajectory point: set `SSP_BENCH_HISTORY=<path>` in measurement
 //!   mode and a self-timed sweep (median of several reps, plus the
-//!   `flow_computations` probe count per strategy) is written as JSON. The
-//!   committed `BENCH_bal.json` at the repo root is produced this way;
-//!   `SSP_BENCH_HISTORY=<path>` additionally appends the cells to the
-//!   `BENCH_history.jsonl` trajectory for `speedscale bench-diff`.
+//!   `flow_computations` probe count per strategy) is appended as one
+//!   `bench_run` line to the `BENCH_history.jsonl` trajectory, which
+//!   `speedscale bench report --gate` judges.
 //!
 //! Each cell also carries a kernel column (`ladder_dinic_ms` /
 //! `kernel_speedup`): the same ladder run with the WAP interval sweep
@@ -23,7 +22,6 @@
 
 use ssp_bench::artifact::{Artifact, CellBuilder};
 use ssp_bench::harness::{BenchmarkId, Criterion};
-use ssp_bench::history::BenchCell;
 use ssp_bench::{fixture, trajectory};
 use ssp_migratory::bal::{try_bal_with_wap_strategy, BalSolution, ProbeStrategy};
 use ssp_migratory::wap::{Wap, WapKernel};
@@ -100,11 +98,9 @@ fn timed_cell(instance: &Instance, strategy: ProbeStrategy, kernel: WapKernel) -
     (times[reps / 2], probes)
 }
 
-/// Run the self-timed sweep and collect the cells of the JSON artifact,
-/// plus their diff identities for the in-run regression check.
-fn sweep_artifact() -> (Artifact, Vec<BenchCell>) {
+/// Run the self-timed sweep and collect the cells of the history artifact.
+fn sweep_artifact() -> Artifact {
     let mut cells = Vec::new();
-    let mut metas = Vec::new();
     for family in FAMILIES {
         for n in SIZES {
             let instance = family_instance(family, n);
@@ -142,28 +138,26 @@ fn sweep_artifact() -> (Artifact, Vec<BenchCell>) {
                 dinic_e.to_bits(),
                 "kernel energy mismatch on {family} n={n}: sweep={ladder_e} dinic={dinic_e}"
             );
-            let cell = CellBuilder::new(family, n)
-                .metric_ms("ladder_ms", ladder_ms)
-                .metric_ms("bisect_ms", bisect_ms)
-                .metric_ms("ladder_dinic_ms", ladder_dinic_ms)
-                .num("speedup", bisect_ms / ladder_ms, 2)
-                .num("kernel_speedup", ladder_dinic_ms / ladder_ms, 2)
-                .int("ladder_probes", ladder_probes)
-                .int("bisect_probes", bisect_probes)
-                .num("energy", ladder_e, 6);
-            metas.push(cell.meta());
-            cells.push(cell.render());
+            cells.push(
+                CellBuilder::new(family, n)
+                    .metric_ms("ladder_ms", ladder_ms)
+                    .metric_ms("bisect_ms", bisect_ms)
+                    .metric_ms("ladder_dinic_ms", ladder_dinic_ms)
+                    .num("speedup", bisect_ms / ladder_ms, 2)
+                    .num("kernel_speedup", ladder_dinic_ms / ladder_ms, 2)
+                    .int("ladder_probes", ladder_probes)
+                    .int("bisect_probes", bisect_probes)
+                    .num("energy", ladder_e, 6)
+                    .render(),
+            );
         }
     }
-    (
-        Artifact {
-            bench: "bal_kernel".to_string(),
-            alpha: ALPHA,
-            unit: "ms_median".to_string(),
-            cells,
-        },
-        metas,
-    )
+    Artifact {
+        bench: "bal_kernel".to_string(),
+        alpha: ALPHA,
+        unit: "ms_median".to_string(),
+        cells,
+    }
 }
 
 fn main() {
@@ -171,35 +165,21 @@ fn main() {
     kernels(&mut c);
     c.final_summary();
     let measure = std::env::args().any(|a| a == "--bench");
-    let json = std::env::var("SSP_BENCH_JSON").unwrap_or_default();
-    let history = std::env::var("SSP_BENCH_HISTORY").unwrap_or_default();
-    if measure && (!json.is_empty() || !history.is_empty()) {
-        let (artifact, metas) = sweep_artifact();
-        if !history.is_empty() {
-            // Compare against the trajectory before appending this run; a
-            // regressed cell re-runs once per strategy/kernel variant under
-            // a probe session so the attached trace splits "more flow
-            // probes" from "slower probes".
-            trajectory::check_and_attach("bal_kernel", &metas, &history, |family, n| {
-                let instance = family_instance(family, n);
+    if measure && trajectory::history_path().is_some() {
+        // A regressed cell re-runs once per strategy/kernel variant under a
+        // probe session so the attached trace splits "more flow probes"
+        // from "slower probes".
+        trajectory::record(&sweep_artifact(), |key| {
+            let (family, n) = trajectory::parse_family_n(key)?;
+            let instance = family_instance(&family, n);
+            trajectory::traced(|| {
                 black_box(solve(&instance, ProbeStrategy::Ladder).energy);
                 black_box(solve(&instance, ProbeStrategy::Bisection).energy);
                 black_box(
                     solve_with_kernel(&instance, ProbeStrategy::Ladder, WapKernel::Flow).energy,
                 );
-            });
-        }
-        if !json.is_empty() {
-            artifact
-                .write_snapshot(&json)
-                .unwrap_or_else(|e| panic!("write {json}: {e}"));
-            eprintln!("wrote {json}");
-        }
-        if !history.is_empty() {
-            artifact
-                .append_history(&history)
-                .unwrap_or_else(|e| panic!("append {history}: {e}"));
-            eprintln!("appended bench_run to {history}");
-        }
+            })
+        })
+        .expect("append the bench history");
     }
 }

@@ -1,13 +1,10 @@
-//! Machine-readable bench artifacts: snapshots and the history trajectory.
+//! Machine-readable bench artifacts: the history trajectory writer.
 //!
-//! Measured bench runs serialize their cells twice:
-//!
-//! * **Snapshot** (`SSP_BENCH_JSON=<path>`): one pretty-printed JSON object
-//!   — the committed `BENCH_*.json` files at the repo root.
-//! * **Trajectory** (`SSP_BENCH_HISTORY=<path>`): one flat JSON object
-//!   *appended* per run to `BENCH_history.jsonl`, tagged with
-//!   `"type":"bench_run"` and the git revision, so the repo accumulates a
-//!   timing trajectory that `speedscale bench-diff` can gate on.
+//! A measured bench run with `SSP_BENCH_HISTORY=<path>` set appends its
+//! cells as one flat JSON object to `BENCH_history.jsonl`, tagged with
+//! `"type":"bench_run"`, the git revision and run provenance, so the repo
+//! accumulates the timing trajectory that `speedscale bench report
+//! --gate` judges (see [`crate::trajectory::record`]).
 //!
 //! Cells are built with [`CellBuilder`]; by convention string fields plus
 //! `n` identify a cell and `*_ms` fields are the gated metrics
@@ -36,8 +33,8 @@ impl CellBuilder {
     }
 
     /// Add a timing metric in milliseconds (4 decimals; non-finite values
-    /// are written as `null`). `name` should end in `_ms` so `bench-diff`
-    /// picks it up.
+    /// are written as `null`). `name` should end in `_ms` so the report
+    /// gates on it.
     pub fn metric_ms(self, name: &str, ms: f64) -> Self {
         self.num(name, ms, 4)
     }
@@ -83,7 +80,7 @@ impl CellBuilder {
     }
 }
 
-/// One measured bench run, ready to serialize as snapshot and/or history.
+/// One measured bench run, ready to serialize as a history line.
 #[derive(Debug, Clone)]
 pub struct Artifact {
     /// Bench id, e.g. `"yds_kernel"`.
@@ -97,21 +94,6 @@ pub struct Artifact {
 }
 
 impl Artifact {
-    /// Pretty-printed snapshot form (the committed `BENCH_*.json` layout).
-    pub fn snapshot_json(&self) -> String {
-        format!(
-            "{{\n  \"bench\": {},\n  \"alpha\": {},\n  \"unit\": {},\n  \"cells\": [\n{}\n  ]\n}}\n",
-            json::quote(&self.bench),
-            Json::Num(self.alpha).to_string_compact(),
-            json::quote(&self.unit),
-            self.cells
-                .iter()
-                .map(|c| format!("    {c}"))
-                .collect::<Vec<_>>()
-                .join(",\n")
-        )
-    }
-
     /// Flat one-line history form, tagged with the run's git revision.
     /// Collects the run environment via [`RunMeta::collect`]; see
     /// [`Artifact::history_line_with`] for the format.
@@ -140,12 +122,6 @@ impl Artifact {
             json::quote(&meta.host),
             self.cells.join(", ")
         )
-    }
-
-    /// Write the snapshot to `path` (resolved by
-    /// [`resolve_artifact_path`]).
-    pub fn write_snapshot(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(resolve_artifact_path(path), self.snapshot_json())
     }
 
     /// Append one history line (with the current git revision) to `path`
@@ -227,9 +203,9 @@ impl RunMeta {
 /// are anchored at the workspace root — the nearest ancestor of the
 /// current directory holding a `Cargo.lock`. Cargo runs bench binaries
 /// with the *package* directory as cwd, so without this
-/// `SSP_BENCH_JSON=BENCH_new.json` would land in `crates/bench/` instead
-/// of next to the committed `BENCH_*.json` baselines at the repo root
-/// (where CI's `bench-diff` step expects it).
+/// `SSP_BENCH_HISTORY=BENCH_history.jsonl` would land in `crates/bench/`
+/// instead of appending to the committed trajectory at the repo root
+/// (which CI's `bench report --gate` step reads).
 pub fn resolve_artifact_path(path: &str) -> std::path::PathBuf {
     let p = std::path::Path::new(path);
     if p.is_absolute() {
@@ -307,14 +283,6 @@ mod tests {
             "{\"family\": \"agreeable\", \"n\": 50, \"fast_ms\": 0.0071, \
              \"ref_ms\": 0.0063, \"speedup\": 0.89, \"peels\": 12}"
         );
-    }
-
-    #[test]
-    fn snapshot_matches_committed_layout() {
-        let snap = sample().snapshot_json();
-        assert!(snap.starts_with("{\n  \"bench\": \"yds_kernel\",\n"));
-        assert!(snap.contains("  \"cells\": [\n    {\"family\": \"agreeable\""));
-        assert!(snap.ends_with("\n  ]\n}\n"));
     }
 
     #[test]

@@ -92,29 +92,19 @@ impl Criterion {
         println!("{} {} benchmark(s)", mode, self.ran);
     }
 
-    /// Serialize the measured run as a bench artifact, honoring the same
-    /// environment contract as the structured kernel benches:
-    /// `SSP_BENCH_JSON=<path>` writes a snapshot, `SSP_BENCH_HISTORY=<path>`
-    /// appends a `bench_run` trajectory line, and
-    /// [`crate::trajectory::TRACE_DIR_ENV`] stores the captured probe trace
-    /// of every cell that regresses against its own history-calibrated
-    /// noise band. No-op in smoke mode or when neither path is set.
+    /// Record the measured run through [`crate::trajectory::record`], the
+    /// same path the structured kernel benches take: with
+    /// `SSP_BENCH_HISTORY=<path>` the cells are judged against their
+    /// history-calibrated noise bands, a regressed cell gets the probe
+    /// trace captured during its run attached under
+    /// [`crate::trajectory::TRACE_DIR_ENV`], and the run is appended as a
+    /// `bench_run` line. No-op in smoke mode or when no history is set.
     ///
     /// Labels map to cells as `group/123` → `family="group", n=123` when
     /// the last `/`-segment is an integer, `family=<label>, n=0` otherwise;
     /// the mean per-iteration time lands in `time_ms`.
     pub fn emit_artifact(&self, bench: &str, alpha: f64) {
-        use crate::artifact::Artifact;
         if !self.measure {
-            return;
-        }
-        let snapshot = std::env::var("SSP_BENCH_JSON")
-            .ok()
-            .filter(|p| !p.is_empty());
-        let history = std::env::var("SSP_BENCH_HISTORY")
-            .ok()
-            .filter(|p| !p.is_empty());
-        if snapshot.is_none() && history.is_none() {
             return;
         }
         let builders: Vec<_> = self
@@ -127,59 +117,19 @@ impl Criterion {
                     .int("iters", r.iters)
             })
             .collect();
-        let artifact = Artifact {
+        let keys: Vec<String> = builders.iter().map(|b| b.meta().key).collect();
+        let artifact = crate::artifact::Artifact {
             bench: bench.to_string(),
             alpha,
             unit: "ms_mean".to_string(),
             cells: builders.iter().map(|b| b.render()).collect(),
         };
-        // Regression check against the history as it stood *before* this
-        // run is appended, so a fresh slowdown is compared to its past.
-        if let (Some(path), Some(dir)) = (&history, crate::trajectory::trace_dir()) {
-            let prior = std::fs::read_to_string(crate::artifact::resolve_artifact_path(path))
-                .unwrap_or_default();
-            let metas: Vec<_> = builders.iter().map(|b| b.meta()).collect();
-            for reg in crate::trajectory::detect_regressions(
-                bench,
-                &metas,
-                &prior,
-                crate::report::DEFAULT_WINDOW,
-            ) {
-                eprintln!(
-                    "regressed {bench} {} {}: {:.4} ms vs baseline {:.4} ms (+{:.1}% > band {:.1}%)",
-                    reg.key,
-                    reg.metric,
-                    reg.latest,
-                    reg.baseline,
-                    reg.delta * 100.0,
-                    reg.band * 100.0
-                );
-                let trace = metas
-                    .iter()
-                    .position(|m| m.key == reg.key)
-                    .and_then(|i| self.records[i].trace.as_ref());
-                match trace {
-                    Some(trace) => {
-                        match crate::trajectory::write_attachment(&dir, bench, &reg.key, trace) {
-                            Ok(p) => eprintln!("  trace attached: {}", p.display()),
-                            Err(e) => eprintln!("  warning: cannot attach trace: {e}"),
-                        }
-                    }
-                    None => eprintln!("  no probe trace captured for this cell"),
-                }
-            }
-        }
-        if let Some(path) = &snapshot {
-            match artifact.write_snapshot(path) {
-                Ok(()) => println!("wrote snapshot {path}"),
-                Err(e) => eprintln!("warning: cannot write snapshot {path}: {e}"),
-            }
-        }
-        if let Some(path) = &history {
-            match artifact.append_history(path) {
-                Ok(()) => println!("appended history {path}"),
-                Err(e) => eprintln!("warning: cannot append history {path}: {e}"),
-            }
+        let recorded = crate::trajectory::record(&artifact, |key| {
+            let i = keys.iter().position(|k| k == key)?;
+            self.records[i].trace.clone()
+        });
+        if let Err(e) = recorded {
+            eprintln!("warning: cannot append bench history: {e}");
         }
     }
 }

@@ -19,10 +19,11 @@
 //! | `micro` / * | — | max-flow, YDS, interval decomposition primitives |
 //!
 //! The targets live under `benches/`. This library crate hosts their
-//! shared fixtures and the bench artifacts end to end: the writer
-//! ([`artifact`]), the reader and `bench-diff` gate ([`history`]), the
+//! shared fixtures and the one bench store, `BENCH_history.jsonl`, end to
+//! end: the writer ([`artifact`]), the reader ([`history`]), the
 //! calibrated trajectory report ([`report`]) behind `speedscale bench
-//! report`, and the in-run regression check ([`trajectory`]).
+//! report` and its `--gate`, and the record path every measured run takes
+//! with its in-run regression check ([`trajectory`]).
 //!
 //! Passing `--probe` after `--bench` (or setting `SSP_BENCH_PROBE=1`)
 //! attaches `ssp-probe` counter deltas to each benchmark: one extra

@@ -1,14 +1,14 @@
 //! The perf-trajectory report over `BENCH_history.jsonl`, behind
-//! `speedscale bench report`.
+//! `speedscale bench report` — and, with `--gate`, the enforcing bench
+//! regression gate.
 //!
-//! Where `bench-diff` compares exactly two artifacts under one global
-//! threshold, this module reads the *whole* accumulated trajectory and
-//! renders, per cell and per `*_ms` metric, a unicode sparkline across
-//! revisions together with best/latest/delta columns — and judges the
-//! latest point against the cell's own **history-calibrated noise band**
-//! (`ssp_probe::calib`, robust dispersion over a trailing window) instead
-//! of a one-size-fits-all percentage. A 6 µs cell and a 1.3 s cell each
-//! get the band their own run-to-run noise earns.
+//! This module reads the *whole* accumulated trajectory and renders, per
+//! cell and per `*_ms` metric, a unicode sparkline across revisions
+//! together with best/latest/delta columns, and judges the latest point
+//! with [`ssp_probe::calib::verdict`]: against the lower of the trailing
+//! median and the previous point, with a band calibrated from the cell's
+//! own run-to-run noise and capped at 10%. A 6 µs cell and a 1.3 s cell
+//! each get the band their own noise earns.
 //!
 //! Flagged rows are linked to root causes when the bench harness attached
 //! a probe trace (see [`crate::trajectory`]): the report looks for
@@ -18,15 +18,14 @@
 //! "which span / which counter".
 
 use crate::history::BenchRun;
-use crate::trajectory::sanitize_key;
+use ssp_probe::calib;
 use std::fmt::Write as _;
 
 /// Trailing history runs a cell's noise band is calibrated over, here and
 /// in the in-run check of [`crate::trajectory`].
 pub const DEFAULT_WINDOW: usize = 8;
 
-/// Noise floor in milliseconds: a latest point below it never flags (the
-/// same default `bench-diff` applies).
+/// Noise floor in milliseconds: a latest point below it never flags.
 pub const DEFAULT_MIN_MS: f64 = 0.05;
 
 /// Sparkline width cap: only the trailing this-many points are drawn.
@@ -47,8 +46,9 @@ pub struct MetricRow {
     pub best: f64,
     /// The most recent point.
     pub latest: f64,
-    /// Median of the trailing window *before* the latest point; `None`
-    /// when the trajectory has a single point (nothing to compare).
+    /// The lower of the trailing window's median and the previous point
+    /// (the window ends *before* the latest point); `None` when the
+    /// trajectory has a single point (nothing to compare).
     pub baseline: Option<f64>,
     /// Calibrated relative band over that window.
     pub band: f64,
@@ -58,10 +58,10 @@ pub struct MetricRow {
     pub flagged: bool,
 }
 
-/// Fold parsed history runs into per-cell metric trajectories, verdicting
-/// each latest point against the median and [`ssp_probe::calib`] band of
-/// the `window` points preceding it. Rows appear in first-seen order
-/// (bench, then cell, then metric).
+/// Fold parsed history runs into per-cell metric trajectories, judging
+/// each latest point with [`calib::verdict`] over the `window` points
+/// preceding it. Rows appear in first-seen order (bench, then cell, then
+/// metric).
 pub fn trajectory_rows(runs: &[BenchRun], window: usize, min_ms: f64) -> Vec<MetricRow> {
     let mut rows: Vec<MetricRow> = Vec::new();
     for run in runs {
@@ -97,12 +97,11 @@ pub fn trajectory_rows(runs: &[BenchRun], window: usize, min_ms: f64) -> Vec<Met
         row.best = row.series.iter().copied().fold(f64::INFINITY, f64::min);
         let prior = &row.series[..n - 1];
         let start = prior.len().saturating_sub(window.max(1));
-        let trailing = &prior[start..];
-        row.baseline = ssp_probe::calib::median(trailing);
-        row.band = ssp_probe::calib::noise_band(trailing);
-        if let Some(baseline) = row.baseline {
-            row.delta = Some(row.latest / baseline - 1.0);
-            row.flagged = ssp_probe::calib::crosses(row.latest, baseline, row.band, min_ms);
+        if let Some(v) = calib::verdict(&prior[start..], row.latest, min_ms) {
+            row.baseline = Some(v.baseline);
+            row.band = v.band;
+            row.delta = Some(row.latest / v.baseline - 1.0);
+            row.flagged = v.flagged;
         }
     }
     rows
@@ -229,7 +228,7 @@ pub fn render_attachments(rows: &[MetricRow], dir: &str) -> String {
     let mut out = String::new();
     let mut seen: Vec<String> = Vec::new();
     for row in rows.iter().filter(|r| r.flagged) {
-        let stem = format!("{}__{}.jsonl", row.bench, sanitize_key(&row.key));
+        let stem = calib::attachment_stem(&row.bench, &row.key);
         if seen.contains(&stem) {
             continue;
         }

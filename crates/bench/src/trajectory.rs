@@ -1,26 +1,30 @@
-//! Bench-side trajectory analysis: history-calibrated regression checks
-//! and auto-attached probe traces.
+//! Bench-side trajectory analysis: the one record path of a measured
+//! bench run, with its history-calibrated regression check and
+//! auto-attached probe traces.
 //!
 //! A measured bench run knows two things the offline report does not: it
 //! holds the freshly measured cells *before* they are appended to
-//! `BENCH_history.jsonl`, and it can still re-run any cell. This module
-//! closes that loop. [`detect_regressions`] compares the new cells against
-//! each cell's own trailing history window using the shared
-//! `ssp_probe::calib` noise bands, and [`write_attachment`] stores a probe
-//! trace of a regressed cell next to the artifact (under
-//! [`TRACE_DIR_ENV`]), so `ssp bench report` can later link "got slower"
-//! to "which span / which counter" via `trace diff` without a manual
-//! repro.
+//! `BENCH_history.jsonl`, and it can still re-run any cell. [`record`]
+//! closes that loop for every bench target: [`detect_regressions`]
+//! compares the new cells against each cell's own trailing history, any
+//! crossing is reported on stderr, a probe trace of each regressed cell is
+//! stored (under [`TRACE_DIR_ENV`]) so `ssp bench report` can later link
+//! "got slower" to "which span / which counter" via `trace diff` without a
+//! manual repro, and the run is appended to the history.
 //!
 //! The check is the offline report run one step early: the history is
 //! read by [`crate::history::parse_history`] and judged by
 //! [`crate::report::trajectory_rows`], with the fresh run appended as the
 //! latest point.
 
-use crate::artifact::resolve_artifact_path;
-use crate::history::{parse_history, BenchCell, BenchRun};
+use crate::artifact::{resolve_artifact_path, Artifact};
+use crate::history::{cell_from, parse_history, BenchCell, BenchRun};
 use crate::report::{trajectory_rows, MetricRow, DEFAULT_MIN_MS, DEFAULT_WINDOW};
 use std::path::PathBuf;
+
+/// Environment variable naming the history file (resolved like artifact
+/// paths) a measured run is judged against and appended to.
+pub const HISTORY_ENV: &str = "SSP_BENCH_HISTORY";
 
 /// Environment variable enabling auto-attached traces: the directory
 /// (resolved like artifact paths) regressed-cell traces are written to.
@@ -36,7 +40,8 @@ pub struct Regression {
     pub metric: String,
     /// Freshly measured milliseconds.
     pub latest: f64,
-    /// Baseline: median of the trailing history window.
+    /// Baseline: the lower of the trailing history window's median and
+    /// the previous point.
     pub baseline: f64,
     /// The calibrated relative band the latest value crossed.
     pub band: f64,
@@ -48,8 +53,8 @@ pub struct Regression {
 /// (the accumulated `BENCH_history.jsonl`, read *before* appending this
 /// run): the report's [`trajectory_rows`] over the history with the fresh
 /// run appended, so every `*_ms` metric with at least one historical sample
-/// is judged against the median and calibrated band of its trailing
-/// `window` samples. Crossings above the [`DEFAULT_MIN_MS`] floor are
+/// is judged by `ssp_probe::calib::verdict` over its trailing `window`
+/// samples. Crossings above the [`DEFAULT_MIN_MS`] floor are
 /// returned in cell order; unreadable history lines are skipped.
 pub fn detect_regressions(
     bench: &str,
@@ -97,30 +102,21 @@ pub fn detect_regressions(
     out
 }
 
+/// The history file a measured run records to, if set via
+/// [`HISTORY_ENV`].
+pub fn history_path() -> Option<String> {
+    std::env::var(HISTORY_ENV).ok().filter(|p| !p.is_empty())
+}
+
 /// The auto-attach trace directory, if enabled via [`TRACE_DIR_ENV`].
 pub fn trace_dir() -> Option<String> {
     std::env::var(TRACE_DIR_ENV).ok().filter(|d| !d.is_empty())
 }
 
-/// A cell key as a filesystem-safe file stem: every character outside
-/// `[A-Za-z0-9._-]` becomes `_`. The report looks attachments up by the
-/// same stem.
-pub fn sanitize_key(key: &str) -> String {
-    key.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
 /// Where a cell's attached trace lives: `<dir>/<bench>__<key>.jsonl`,
 /// with `dir` resolved like artifact paths (relative → workspace root).
 pub fn attachment_path(dir: &str, bench: &str, key: &str) -> PathBuf {
-    resolve_artifact_path(dir).join(format!("{bench}__{}.jsonl", sanitize_key(key)))
+    resolve_artifact_path(dir).join(ssp_probe::calib::attachment_stem(bench, key))
 }
 
 /// Write a regressed cell's probe trace to [`attachment_path`], creating
@@ -139,32 +135,12 @@ pub fn write_attachment(
     Ok(path)
 }
 
-/// Re-run one untimed iteration of a regressed cell under a probe session
-/// and write the trace. Returns the path, or `None` when the probe is
-/// busy elsewhere or the write failed (attachment is best-effort — it
-/// must never fail the bench run itself).
-pub fn attach_probe_rerun<O>(
-    dir: &str,
-    bench: &str,
-    key: &str,
-    mut rerun: impl FnMut() -> O,
-) -> Option<PathBuf> {
+/// Run `f` once, untimed, under a probe session and return the trace;
+/// `None` when another session is active (attachment is best-effort).
+pub fn traced<O>(f: impl FnOnce() -> O) -> Option<ssp_probe::Trace> {
     let session = ssp_probe::Session::begin()?;
-    std::hint::black_box(rerun());
-    let trace = session.end();
-    match write_attachment(dir, bench, key, &trace) {
-        Ok(path) => {
-            eprintln!(
-                "attached probe trace for regressed cell {key}: {}",
-                path.display()
-            );
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("warning: cannot write trace attachment for {key}: {e}");
-            None
-        }
-    }
+    std::hint::black_box(f());
+    Some(session.end())
 }
 
 /// Parse a `family=...,n=...` cell key back into its parts, so a bench
@@ -183,21 +159,42 @@ pub fn parse_family_n(key: &str) -> Option<(String, usize)> {
     Some((family?, n?))
 }
 
-/// The full in-run gate for a structured kernel bench: compare fresh
-/// cells against the history at `history_path` (as it stands, i.e.
+/// Record a measured run to the history named by [`HISTORY_ENV`] (a
+/// no-op returning no regressions when it is unset), attaching traces
+/// under [`TRACE_DIR_ENV`] when that is set. See [`record_at`].
+pub fn record(
+    artifact: &Artifact,
+    trace_of: impl FnMut(&str) -> Option<ssp_probe::Trace>,
+) -> std::io::Result<Vec<Regression>> {
+    match history_path() {
+        Some(history) => record_at(&history, trace_dir().as_deref(), artifact, trace_of),
+        None => Ok(Vec::new()),
+    }
+}
+
+/// The one record path of a measured bench run: judge the artifact's
+/// cells against the history at `history_path` as it stands (i.e.
 /// *before* this run is appended), report every calibrated crossing on
-/// stderr, and — when [`TRACE_DIR_ENV`] is set — re-run each regressed
-/// cell once under a probe session via `rerun(family, n)` and attach the
-/// trace. Returns the regressions so the caller can surface them further.
-pub fn check_and_attach(
-    bench: &str,
-    metas: &[BenchCell],
+/// stderr, store a probe trace of each regressed cell under `trace_dir`
+/// (when given; `trace_of(key)` supplies it, once per cell — by re-running
+/// the cell or from a trace captured during the run), then append the run
+/// to the history. Returns the regressions; only the append can fail.
+pub fn record_at(
     history_path: &str,
-    mut rerun: impl FnMut(&str, usize),
-) -> Vec<Regression> {
+    trace_dir: Option<&str>,
+    artifact: &Artifact,
+    mut trace_of: impl FnMut(&str) -> Option<ssp_probe::Trace>,
+) -> std::io::Result<Vec<Regression>> {
+    let bench = &artifact.bench;
+    let cells: Vec<BenchCell> = artifact
+        .cells
+        .iter()
+        .filter_map(|c| ssp_probe::json::parse(c).ok())
+        .map(|doc| cell_from(&doc))
+        .collect();
     let prior = std::fs::read_to_string(resolve_artifact_path(history_path)).unwrap_or_default();
-    let regs = detect_regressions(bench, metas, &prior, DEFAULT_WINDOW);
-    let mut attached: Vec<String> = Vec::new();
+    let regs = detect_regressions(bench, &cells, &prior, DEFAULT_WINDOW);
+    let mut attached: Vec<&str> = Vec::new();
     for reg in &regs {
         eprintln!(
             "regressed {bench} {} {}: {:.4} ms vs baseline {:.4} ms (+{:.1}% > band {:.1}%)",
@@ -208,17 +205,20 @@ pub fn check_and_attach(
             reg.delta * 100.0,
             reg.band * 100.0
         );
-        if attached.contains(&reg.key) {
+        let Some(dir) = trace_dir else { continue };
+        if attached.contains(&reg.key.as_str()) {
             continue;
         }
-        attached.push(reg.key.clone());
-        if let Some(dir) = trace_dir() {
-            if let Some((family, n)) = parse_family_n(&reg.key) {
-                attach_probe_rerun(&dir, bench, &reg.key, || rerun(&family, n));
-            }
+        attached.push(&reg.key);
+        match trace_of(&reg.key).map(|t| write_attachment(dir, bench, &reg.key, &t)) {
+            Some(Ok(path)) => eprintln!("  trace attached: {}", path.display()),
+            Some(Err(e)) => eprintln!("  warning: cannot attach trace: {e}"),
+            None => eprintln!("  no probe trace captured for this cell"),
         }
     }
-    regs
+    artifact.append_history(history_path)?;
+    eprintln!("appended bench_run to {history_path}");
+    Ok(regs)
 }
 
 #[cfg(test)]
@@ -273,7 +273,8 @@ mod tests {
         let r = &hits[0];
         assert_eq!(r.key, "family=agreeable,n=200");
         assert_eq!(r.metric, "fast_ms");
-        assert!((r.baseline - 0.100).abs() < 1e-12);
+        // Baseline: the previous point 0.099, below the window median 0.100.
+        assert!((r.baseline - 0.099).abs() < 1e-12);
         assert!(r.delta > 0.15 && r.band < r.delta, "{r:?}");
         // Another bench's history is invisible.
         assert!(detect_regressions("bal_kernel", &fresh(0.120), &hist, 8).is_empty());
@@ -300,9 +301,12 @@ mod tests {
         let hits = detect_regressions("yds_kernel", &fresh(0.200), &hist, 3);
         assert_eq!(hits.len(), 1);
         assert!((hits[0].baseline - 0.1).abs() < 0.01, "{:?}", hits[0]);
-        // The full window is dominated by the slow epoch: baseline sits
-        // high and the bimodal dispersion widens the band past the step.
-        assert!(detect_regressions("yds_kernel", &fresh(0.200), &hist, 100).is_empty());
+        // The full window is dominated by the slow epoch, but the baseline
+        // is never above the previous point and the band never above 10%,
+        // so the return to the old speed is caught all the same.
+        let hits = detect_regressions("yds_kernel", &fresh(0.200), &hist, 100);
+        assert_eq!(hits.len(), 1);
+        assert!((hits[0].baseline - 0.099).abs() < 1e-12, "{:?}", hits[0]);
     }
 
     #[test]
@@ -331,10 +335,6 @@ mod tests {
 
     #[test]
     fn attachment_paths_are_sanitized_and_written() {
-        assert_eq!(
-            sanitize_key("family=agreeable,n=200"),
-            "family_agreeable_n_200"
-        );
         let dir = std::env::temp_dir().join(format!("ssp_traj_{}", std::process::id()));
         let dir_s = dir.to_string_lossy().into_owned();
         let path = attachment_path(&dir_s, "yds_kernel", "family=agreeable,n=200");
@@ -351,6 +351,67 @@ mod tests {
             .expect("attachment writes");
         let back = ssp_probe::Trace::parse(&std::fs::read_to_string(&written).unwrap()).unwrap();
         assert_eq!(back.counter("demo.events"), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn record_judges_attaches_once_per_cell_and_appends() {
+        let dir = std::env::temp_dir().join(format!("ssp_record_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let hist_path = dir.join("history.jsonl");
+        std::fs::write(&hist_path, history(&[0.100, 0.100, 0.100])).unwrap();
+        let hist = hist_path.to_string_lossy().into_owned();
+        let traces = dir.join("traces").to_string_lossy().into_owned();
+        let artifact = |fast_ms: f64| Artifact {
+            bench: "yds_kernel".into(),
+            alpha: 2.0,
+            unit: "ms_median".into(),
+            cells: vec![CellBuilder::new("agreeable", 200)
+                .metric_ms("fast_ms", fast_ms)
+                .metric_ms("ref_ms", fast_ms)
+                .render()],
+        };
+        let trace = ssp_probe::Trace {
+            spans: Vec::new(),
+            counters: vec![("demo.events".into(), 1)],
+            hists: Vec::new(),
+            error: None,
+        };
+
+        // Two regressed metrics of one cell: one trace request, one file.
+        let mut asked = 0;
+        let regs = record_at(&hist, Some(&traces), &artifact(0.150), |key| {
+            assert_eq!(key, "family=agreeable,n=200");
+            asked += 1;
+            Some(trace.clone())
+        })
+        .unwrap();
+        assert_eq!(regs.len(), 1, "ref_ms has no history yet: {regs:?}");
+        assert_eq!(asked, 1);
+        assert!(attachment_path(&traces, "yds_kernel", "family=agreeable,n=200").is_file());
+        let text = std::fs::read_to_string(&hist_path).unwrap();
+        assert_eq!(text.lines().count(), 4, "the run is appended");
+
+        // Now fast_ms and ref_ms both regress: still one request per cell.
+        let mut asked = 0;
+        let regs = record_at(&hist, Some(&traces), &artifact(0.300), |_| {
+            asked += 1;
+            None
+        })
+        .unwrap();
+        assert_eq!(regs.len(), 2);
+        assert_eq!(asked, 1);
+
+        // No trace dir: nothing is re-run, the run is still appended.
+        record_at(
+            &hist,
+            None,
+            &artifact(0.600),
+            |_| -> Option<ssp_probe::Trace> { panic!("no trace dir, no re-run") },
+        )
+        .unwrap();
+        let text = std::fs::read_to_string(&hist_path).unwrap();
+        assert_eq!(text.lines().count(), 6);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -22,7 +22,8 @@
 //! The headline column is the probe ratio (bisection probes / ladder
 //! probes): every feasibility probe is a parametric max-flow solve, so the
 //! ratio is the algorithmic speedup available to any machine, independent
-//! of this box's core count (`BENCH_bal.json` carries the wall-clock side).
+//! of this box's core count (the `bal_kernel` lines of
+//! `BENCH_history.jsonl` carry the wall-clock side).
 
 use crate::table::{Cell, Table};
 use crate::RunCfg;

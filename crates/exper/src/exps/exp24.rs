@@ -24,7 +24,8 @@
 //! The table reports the per-probe ratio (generic-kernel ms per probe over
 //! auto-kernel ms per probe) next to the fast-path share and the sweep's
 //! operation count, so the fast path's contribution is visible separately
-//! from the ladder's probe-count wins (EXP-23 / BENCH_bal.json).
+//! from the ladder's probe-count wins (EXP-23 / the `bal_kernel` lines of
+//! `BENCH_history.jsonl`).
 
 use crate::table::{Cell, Table};
 use crate::RunCfg;

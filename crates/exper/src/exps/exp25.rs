@@ -1,11 +1,13 @@
 //! EXP-25 — the perf-trajectory service: history-calibrated noise bands
 //! and auto-attached trace diffs, validated on synthetic trajectories.
 //!
-//! `ssp bench report` replaced the single global regression threshold
-//! with a **per-cell calibrated band**: robust dispersion (median/MAD,
-//! `ssp_probe::calib`) over the cell's own trailing history window. This
-//! runner builds deterministic synthetic trajectories — no timing, no
-//! machine noise — and re-states the service's contracts as assertions:
+//! `ssp bench report --gate`, the enforcing bench gate, judges each cell
+//! with `ssp_probe::calib::verdict`: a **per-cell calibrated band** —
+//! robust dispersion (median/MAD) over the cell's own trailing history
+//! window, capped at 10% — above the lower of the window median and the
+//! previous point. This runner builds deterministic synthetic
+//! trajectories — no timing, no machine noise — and re-states the gate's
+//! contracts as assertions:
 //!
 //! 1. **Separation.** On a trajectory with ±2% deterministic run-to-run
 //!    noise, the calibrated band passes every in-noise point but flags a
@@ -13,12 +15,17 @@
 //!    band and still passes; a single historical outlier must not widen
 //!    the band (MAD robustness); and a sub-floor cell never flags no
 //!    matter how large its relative step.
-//! 2. **Attachment round-trip.** A flagged cell's auto-attached probe
-//!    trace, written under the `<bench>__<sanitized key>.jsonl` naming
-//!    convention the harness and `bench report` share, parses back and
-//!    its `trace diff` against the baseline trace names the regressed
-//!    span (flagged `!`) — the "got slower" → "which span" link the
-//!    report renders.
+//! 2. **No looser than a fixed 10% threshold.** An improvement step
+//!    followed by a return to the old speed flags (the median of the two
+//!    earlier points would hide it; the previous point does not), and a
+//!    point 10% over the previous one above the floor flags whatever the
+//!    history's noise.
+//! 3. **Attachment round-trip.** A flagged cell's auto-attached probe
+//!    trace, written under the `<bench>__<sanitized key>.jsonl` name
+//!    (`ssp_probe::calib::attachment_stem`) the harness and `bench report`
+//!    share, parses back and its `trace diff` against the baseline trace
+//!    names the regressed span (flagged `!`) — the "got slower" → "which
+//!    span" link the report renders.
 //!
 //! Everything is derived from `ssp_workloads::subseed` bit-mixing, so the
 //! run is reproducible for any `--seed`.
@@ -33,22 +40,6 @@ use ssp_workloads::subseed;
 fn noise(seed: u64, i: u64, amp: f64) -> f64 {
     let s = subseed(seed, i);
     1.0 + amp * (((s % 401) as f64 - 200.0) / 200.0)
-}
-
-/// The attachment file stem convention of `ssp_bench::trajectory`, which
-/// both its writer and `ssp_bench::report` use (this crate cannot depend
-/// on `ssp-bench`, which depends on it): every character outside
-/// `[A-Za-z0-9._-]` becomes `_`.
-fn sanitize_key(key: &str) -> String {
-    key.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
 }
 
 /// A deterministic two-span probe trace in wire format: a `yds` root of
@@ -87,6 +78,8 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
 
     let mut outlier_history = series(0.02, 3);
     outlier_history[points / 2] = base_ms * 40.0; // one wild rep
+    let prev_history = series(0.02, 4);
+    let prev_latest = prev_history[points - 1] * 1.10;
 
     let scenarios = vec![
         Scenario {
@@ -119,6 +112,20 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
             latest: 0.030, // 3x, but under the 0.05 ms floor
             must_flag: false,
         },
+        Scenario {
+            // The bal_kernel laminar_nested n=1600 ladder_ms shape: a 3.7x
+            // improvement, then half of it given back.
+            name: "step_then_return",
+            history: vec![4.94, 1.33],
+            latest: 2.0,
+            must_flag: true,
+        },
+        Scenario {
+            name: "pm2pct_prev_plus10",
+            history: prev_history,
+            latest: prev_latest,
+            must_flag: true,
+        },
     ];
 
     let mut table = Table::new(
@@ -135,9 +142,11 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
     );
 
     for sc in &scenarios {
-        let baseline = calib::median(&sc.history).expect("non-empty history");
-        let band = calib::noise_band(&sc.history);
-        let flagged = calib::crosses(sc.latest, baseline, band, MIN_MS);
+        let calib::Verdict {
+            baseline,
+            band,
+            flagged,
+        } = calib::verdict(&sc.history, sc.latest, MIN_MS).expect("non-empty history");
         assert_eq!(
             flagged,
             sc.must_flag,
@@ -171,9 +180,9 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
         ]);
     }
 
-    // -- Contract 2: the attachment round-trip -----------------------------
+    // -- Contract 3: the attachment round-trip -----------------------------
     let key = "family=agreeable,n=200";
-    let stem = format!("yds_kernel__{}.jsonl", sanitize_key(key));
+    let stem = calib::attachment_stem("yds_kernel", key);
     assert_eq!(
         stem, "yds_kernel__family_agreeable_n_200.jsonl",
         "attachment naming convention drifted"

@@ -1,4 +1,5 @@
-//! History-calibrated noise bands for timing trajectories.
+//! The bench trajectory's one regression rule: history-calibrated noise
+//! bands and the [`verdict`] built on them.
 //!
 //! The bench trajectory (`BENCH_history.jsonl`) accumulates one timing
 //! sample per cell per run. A single global regression threshold treats a
@@ -8,26 +9,28 @@
 //! statistics — median and MAD (median absolute deviation) — so one
 //! outlier run cannot widen the band the way a standard deviation would.
 //!
-//! The band is used in three places with one formula: `ssp bench report`
-//! flags trajectory points outside the band, the bench harness decides
-//! which regressed cells deserve an auto-attached probe trace, and EXP-25
-//! asserts the calibration separates a true 20% step from run-to-run
-//! noise. Keeping the formula here (rather than in `ssp-bench`) lets all
-//! three crates share it without a dependency cycle.
+//! [`verdict`] is used in three places: `ssp bench report` (and its
+//! `--gate`, the enforcing CI gate) flags trajectory points with it, the
+//! bench harness decides with it which regressed cells deserve an
+//! auto-attached probe trace, and EXP-25 asserts it separates true steps
+//! from run-to-run noise. Keeping the rule here (rather than in
+//! `ssp-bench`) lets all three crates share it without a dependency
+//! cycle; the attachment file name ([`attachment_stem`]) lives here for
+//! the same reason.
 
 /// Minimum relative band: even a perfectly quiet history (zero measured
 /// dispersion) keeps a 5% guard against timer quantization.
 pub const MIN_BAND: f64 = 0.05;
 
-/// Maximum relative band: a wildly noisy history never excuses more than a
-/// 50% slowdown.
-pub const MAX_BAND: f64 = 0.50;
+/// Maximum relative band: a wildly noisy history never excuses a 10%
+/// slowdown, so a calibrated band is never looser than a fixed 10%
+/// threshold.
+pub const MAX_BAND: f64 = 0.10;
 
 /// Dispersion multiplier: the band is `BAND_SIGMAS` robust standard
 /// deviations (`1.4826 * MAD / median`), clamped to
 /// [`MIN_BAND`]..[`MAX_BAND`]. Six sigmas keeps ±2% uniform noise (robust
-/// sigma ≈ 1.5%) comfortably inside the band while a 20% step lands far
-/// outside it.
+/// sigma ≈ 1.5%) inside the band while a 20% step lands far outside it.
 pub const BAND_SIGMAS: f64 = 6.0;
 
 /// Median of `samples` (NaNs excluded). `None` when no finite sample
@@ -81,12 +84,62 @@ pub fn noise_band(samples: &[f64]) -> f64 {
 }
 
 /// Whether `latest` regresses against `baseline` past the calibrated
-/// `band` (a relative fraction): the relative slowdown `latest/baseline -
-/// 1` must reach the band and `latest` must sit at or above the `min_ms`
-/// noise floor (sub-floor cells are dominated by fixed overhead and timer
-/// quantization and never gate — same rule as `bench-diff`).
+/// `band` (a relative fraction): `latest` must reach `baseline * (1 +
+/// band)` and sit at or above the `min_ms` noise floor (sub-floor cells
+/// are dominated by fixed overhead and timer quantization and never gate).
 pub fn crosses(latest: f64, baseline: f64, band: f64, min_ms: f64) -> bool {
-    baseline > 0.0 && latest.is_finite() && latest >= min_ms && latest / baseline - 1.0 >= band
+    baseline > 0.0 && latest.is_finite() && latest >= min_ms && latest >= baseline * (1.0 + band)
+}
+
+/// The judgement of a trajectory's latest point against the points
+/// before it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Verdict {
+    /// The lower of the prior samples' median and the previous point.
+    pub baseline: f64,
+    /// The calibrated relative band of the prior samples ([`noise_band`]).
+    pub band: f64,
+    /// `latest` [`crosses`] the band above `baseline`.
+    pub flagged: bool,
+}
+
+/// Judge `latest` against the `prior` samples that precede it (oldest
+/// first; the caller picks the trailing window). `None` when `prior`
+/// holds no finite sample, i.e. there is nothing to compare against.
+///
+/// The baseline is `min(median(prior), previous point)`: the median keeps
+/// one slow outlier run from becoming the reference, and the previous
+/// point keeps an improvement step from being averaged away by the slower
+/// runs before it, so a return to the old speed is caught. With the band
+/// capped at [`MAX_BAND`] (10%), anything a fixed 10% threshold against
+/// either the median or the previous point flags, this flags too.
+pub fn verdict(prior: &[f64], latest: f64, min_ms: f64) -> Option<Verdict> {
+    let previous = prior.iter().rev().copied().find(|x| x.is_finite())?;
+    let baseline = median(prior)?.min(previous);
+    let band = noise_band(prior);
+    Some(Verdict {
+        baseline,
+        band,
+        flagged: crosses(latest, baseline, band, min_ms),
+    })
+}
+
+/// The file name a regressed cell's auto-attached probe trace is stored
+/// under: `<bench>__<key>.jsonl`, with every character of the cell key
+/// outside `[A-Za-z0-9._-]` replaced by `_`. The bench harness writes
+/// attachments under this name and `ssp bench report` looks them up by it.
+pub fn attachment_stem(bench: &str, key: &str) -> String {
+    let key: String = key
+        .chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect();
+    format!("{bench}__{key}.jsonl")
 }
 
 #[cfg(test)]
@@ -137,5 +190,36 @@ mod tests {
         assert!(crosses(0.06, 0.02, 0.05, 0.05));
         assert!(!crosses(1.0, 0.0, 0.05, 0.05), "zero baseline never gates");
         assert!(!crosses(f64::NAN, 1.0, 0.05, 0.05));
+    }
+
+    #[test]
+    fn verdict_baselines_on_the_lower_of_median_and_previous_point() {
+        // An improvement step, then a return to the old speed: the median
+        // of the two prior points sits between them, the previous point
+        // does not hide the return.
+        let v = verdict(&[4.94, 1.33], 2.0, 0.05).unwrap();
+        assert_eq!(v.baseline, 1.33);
+        assert_eq!(v.band, MIN_BAND);
+        assert!(v.flagged);
+        // A slow outlier as the previous point: the median is the baseline.
+        let v = verdict(&[1.0, 1.0, 1.0, 3.0], 1.02, 0.05).unwrap();
+        assert_eq!(v.baseline, 1.0);
+        assert!(!v.flagged);
+        // Exactly 10% over the previous point flags under any band.
+        let prior = [1.0, 3.0, 0.2, 5.0, 0.1, 0.8];
+        assert_eq!(noise_band(&prior), MAX_BAND);
+        assert!(verdict(&prior, 0.8 * 1.10, 0.05).unwrap().flagged);
+        // Nothing to compare against.
+        assert_eq!(verdict(&[], 1.0, 0.05), None);
+        assert_eq!(verdict(&[f64::NAN], 1.0, 0.05), None);
+    }
+
+    #[test]
+    fn attachment_stems_are_filesystem_safe() {
+        assert_eq!(
+            attachment_stem("yds_kernel", "family=agreeable,n=200"),
+            "yds_kernel__family_agreeable_n_200.jsonl"
+        );
+        assert_eq!(attachment_stem("b", "x.y-z_1"), "b__x.y-z_1.jsonl");
     }
 }

@@ -235,6 +235,18 @@ pub fn parse_request(line: &str) -> Result<Request, Reject> {
             ))
         }
     };
+    if instance.len() > MAX_REQUEST_JOBS || instance.machines() > MAX_REQUEST_MACHINES {
+        return Err(reject(
+            &id,
+            "parse",
+            format!(
+                "{} jobs on {} machines exceeds the per-request cap of \
+                 {MAX_REQUEST_JOBS} jobs and {MAX_REQUEST_MACHINES} machines",
+                instance.len(),
+                instance.machines()
+            ),
+        ));
+    }
     Ok(Request {
         id,
         algo,
@@ -250,6 +262,12 @@ pub fn parse_request(line: &str) -> Result<Request, Reject> {
 /// instances interactively.
 pub const MAX_REQUEST_JOBS: usize = 100_000;
 
+/// Cap on machines per request: solvers allocate per-machine state, so an
+/// absurd machine count would abort the daemon on a failed allocation.
+/// More machines than the job cap never changes a schedule (each job runs
+/// on at most one machine at a time).
+pub const MAX_REQUEST_MACHINES: usize = MAX_REQUEST_JOBS;
+
 fn parse_structured_instance(obj: &Json) -> Result<Instance, (&'static str, String)> {
     let machines = obj.get("machines").and_then(|v| v.as_u64()).ok_or((
         "parse",
@@ -263,15 +281,6 @@ fn parse_structured_instance(obj: &Json) -> Result<Instance, (&'static str, Stri
         .get("jobs")
         .and_then(|v| v.as_arr())
         .ok_or(("parse", "'instance.jobs' must be an array".to_string()))?;
-    if jobs_json.len() > MAX_REQUEST_JOBS {
-        return Err((
-            "parse",
-            format!(
-                "{} jobs exceeds the per-request cap {MAX_REQUEST_JOBS}",
-                jobs_json.len()
-            ),
-        ));
-    }
     let mut jobs = Vec::with_capacity(jobs_json.len());
     for (i, j) in jobs_json.iter().enumerate() {
         let tuple = j.as_arr().filter(|t| t.len() == 4).ok_or((
@@ -373,6 +382,54 @@ mod tests {
                 assert_eq!(rej.id, "x", "{line}");
             }
         }
+    }
+
+    #[test]
+    fn oversized_structured_requests_are_rejected_with_their_id() {
+        let line = r#"{"id":"big","algo":"rr","instance":{"machines":9007199254740993,"alpha":2,"jobs":[[0,1,0,1]]}}"#;
+        let rej = parse_request(line).unwrap_err();
+        assert_eq!(rej.kind, "parse");
+        assert_eq!(rej.id, "big");
+        assert!(rej.message.contains("cap"), "{}", rej.message);
+        let at_cap = format!(
+            r#"{{"id":"ok","instance":{{"machines":{MAX_REQUEST_MACHINES},"alpha":2,"jobs":[[0,1,0,1]]}}}}"#
+        );
+        assert_eq!(
+            parse_request(&at_cap).unwrap().instance.machines(),
+            MAX_REQUEST_MACHINES
+        );
+        let jobs: Vec<String> = (0..=MAX_REQUEST_JOBS)
+            .map(|i| format!("[{i},1,0,1]"))
+            .collect();
+        let jobs = jobs.join(",");
+        let line =
+            format!(r#"{{"id":"many","instance":{{"machines":1,"alpha":2,"jobs":[{jobs}]}}}}"#);
+        let rej = parse_request(&line).unwrap_err();
+        assert_eq!((rej.kind, rej.id.as_str()), ("parse", "many"));
+    }
+
+    #[test]
+    fn oversized_ssp_text_requests_are_rejected_with_their_id() {
+        let request = |id: &str, text: String| {
+            Json::Obj(vec![
+                ("id".into(), Json::Str(id.into())),
+                ("instance".into(), Json::Str(text)),
+            ])
+            .to_string_compact()
+        };
+        let huge = request(
+            "big",
+            "machines 9007199254740993\nalpha 2.0\njob 0 1.0 0.0 1.0\n".into(),
+        );
+        let rej = parse_request(&huge).unwrap_err();
+        assert_eq!(rej.kind, "parse");
+        assert_eq!(rej.id, "big");
+        let mut text = String::from("machines 1\nalpha 2.0\n");
+        for i in 0..=MAX_REQUEST_JOBS {
+            text.push_str(&format!("job {i} 1.0 0.0 1.0\n"));
+        }
+        let rej = parse_request(&request("many", text)).unwrap_err();
+        assert_eq!((rej.kind, rej.id.as_str()), ("parse", "many"));
     }
 
     #[test]

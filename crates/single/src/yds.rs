@@ -68,8 +68,8 @@ impl YdsSolution {
 
 /// Below this many *active* jobs a peel routes through the reference scan:
 /// the fast kernel's per-peel scaffolding (two integer sorts, suffix scans,
-/// the linked list) dominates at small sizes (BENCH_yds.json measured the
-/// n = 50 cells at 0.8–0.97× before the cutoff), while the `O(k²)` reference
+/// the linked list) dominates at small sizes (the `yds_kernel` bench
+/// measured the n = 50 cells at 0.8–0.97× before the cutoff), while the `O(k²)` reference
 /// sweep is branch-light and allocation-free on the SoA driver. The cutoff
 /// is applied per peel, not per call, so the shrinking tail of a long peel
 /// sequence (e.g. laminar nests) also drops to the cheap scan. Both finders
@@ -79,7 +79,7 @@ pub const SMALL_PEEL_CUTOFF: usize = 32;
 
 /// Below this many *input* jobs the whole call routes through the reference
 /// scan, not just individual small peels. The per-peel cutoff alone left the
-/// n = 50 BENCH_yds cells at 0.79–0.86×: a tiny instance starts above
+/// n = 50 `yds_kernel` bench cells at 0.79–0.86×: a tiny instance starts above
 /// [`SMALL_PEEL_CUTOFF`], so its first (and most expensive) peels still paid
 /// the fast kernel's scaffolding right where the reference sweep is cheapest.
 /// Calibrated by 201-rep medians over the bench families: agreeable and

@@ -1,74 +1,78 @@
-//! Tests of the bench-artifact reader and gate in [`ssp_bench::history`].
-//! They live in the root package, beside the CLI that calls that module,
-//! so that `cargo test` at the repository root (which runs only this
-//! package) covers the writer↔reader contract.
+//! Tests of the bench-history reader in [`ssp_bench::history`] and of the
+//! gate verdicts it feeds. They live in the root package, beside the CLI
+//! that calls that module, so that `cargo test` at the repository root
+//! (which runs only this package) covers the writer↔reader contract.
 
 mod tests {
     use ssp_bench::history::*;
+    use ssp_bench::report::{trajectory_rows, DEFAULT_MIN_MS, DEFAULT_WINDOW};
 
-    fn snapshot(fast_200: f64) -> String {
+    fn run_line(rev: &str, fast_50: f64, fast_200: f64) -> String {
         format!(
-            r#"{{"bench":"yds_kernel","alpha":2.0,"unit":"ms_median","cells":[
-  {{"family":"agreeable","n":50,"fast_ms":0.007,"ref_ms":0.006,"speedup":0.89}},
-  {{"family":"agreeable","n":200,"fast_ms":{fast_200},"ref_ms":0.350,"speedup":3.1}}
-]}}"#
+            r#"{{"type":"bench_run","bench":"yds_kernel","rev":"{rev}","alpha":2.0,"unit":"ms_median","cells":[{{"family":"agreeable","n":50,"fast_ms":{fast_50},"ref_ms":0.006,"speedup":0.89}},{{"family":"agreeable","n":200,"fast_ms":{fast_200},"ref_ms":0.350,"speedup":3.1}}]}}"#
         )
+    }
+
+    /// Gate verdicts of a two-run history: a committed run, then a re-run.
+    fn gate(fast_50: f64, fast_200: f64) -> Vec<ssp_bench::report::MetricRow> {
+        let text = run_line("aaa111", 0.007, 0.113) + "\n" + &run_line("bbb222", fast_50, fast_200);
+        let (runs, warnings) = parse_history(&text);
+        assert!(warnings.is_empty(), "{warnings:?}");
+        trajectory_rows(&runs, DEFAULT_WINDOW, DEFAULT_MIN_MS)
     }
 
     #[test]
     fn artifact_cells_key_on_family_and_n() {
-        let art = parse_artifact(&snapshot(0.113)).unwrap();
-        assert_eq!(art.bench, "yds_kernel");
-        assert_eq!(art.cells.len(), 2);
-        assert_eq!(art.cells[1].key, "family=agreeable,n=200");
+        let (runs, _) = parse_history(&run_line("aaa111", 0.007, 0.113));
+        assert_eq!(runs[0].bench, "yds_kernel");
+        assert_eq!(runs[0].cells.len(), 2);
+        assert_eq!(runs[0].cells[1].key, "family=agreeable,n=200");
         assert_eq!(
-            art.cells[1].metrics,
+            runs[0].cells[1].metrics,
             vec![("fast_ms".to_string(), 0.113), ("ref_ms".to_string(), 0.35)]
         );
     }
 
     #[test]
     fn history_takes_the_last_run() {
-        let history = format!(
-            "{}\n{}\n",
-            r#"{"type":"bench_run","bench":"yds_kernel","rev":"aaa111","cells":[{"family":"agreeable","n":200,"fast_ms":0.100}]}"#,
-            r#"{"type":"bench_run","bench":"yds_kernel","rev":"bbb222","cells":[{"family":"agreeable","n":200,"fast_ms":0.120}]}"#
-        );
-        let art = parse_artifact(&history).unwrap();
-        assert_eq!(art.rev.as_deref(), Some("bbb222"));
-        assert_eq!(art.cells[0].metrics[0].1, 0.120);
+        let rows = gate(0.007, 0.120);
+        let row = rows
+            .iter()
+            .find(|r| r.key == "family=agreeable,n=200" && r.metric == "fast_ms")
+            .unwrap();
+        assert_eq!(row.series, vec![0.113, 0.120]);
+        assert_eq!(row.latest, 0.120, "the last line is the latest point");
+        assert_eq!(row.baseline, Some(0.113));
     }
 
     #[test]
     fn unchanged_artifact_passes_and_regression_gates() {
-        let old = parse_artifact(&snapshot(0.113)).unwrap();
-        let same = diff_artifacts(&old, &old, 0.10, 0.05);
-        assert_eq!(same.regressions(), 0);
+        let same = gate(0.007, 0.113);
+        assert_eq!(ssp_bench::report::flagged(&same), 0);
         // 10% injected regression on the n=200 cell: gates.
-        let slow = parse_artifact(&snapshot(0.113 * 1.101)).unwrap();
-        let diff = diff_artifacts(&old, &slow, 0.10, 0.05);
-        assert_eq!(diff.regressions(), 1);
-        let row = diff.rows.iter().find(|r| r.regressed).unwrap();
+        let slow = gate(0.007, 0.113 * 1.101);
+        assert_eq!(ssp_bench::report::flagged(&slow), 1);
+        let row = slow.iter().find(|r| r.flagged).unwrap();
         assert_eq!(row.key, "family=agreeable,n=200");
         assert_eq!(row.metric, "fast_ms");
-        assert!(diff.render().contains('!'));
+        assert!(ssp_bench::report::render(&slow, false).contains(" !"));
     }
 
     #[test]
     fn noise_floor_shields_tiny_cells() {
-        // Double the n=50 cell (0.007 → 0.014 ms): far past 10%, but the
-        // new value is below the 0.05 ms floor, so it must not gate.
-        let old = parse_artifact(&snapshot(0.113)).unwrap();
-        let mut slow = old.clone();
-        slow.cells[0].metrics[0].1 = 0.014;
-        let diff = diff_artifacts(&old, &slow, 0.10, 0.05);
-        assert_eq!(diff.regressions(), 0);
-        assert!(diff.render().contains('~'), "visible but not gating");
+        // Double the n=50 cell (0.007 → 0.014 ms): far past the band, but
+        // the new value is below the 0.05 ms floor, so it must not gate.
+        let rows = gate(0.014, 0.113);
+        assert_eq!(ssp_bench::report::flagged(&rows), 0);
+        let row = rows
+            .iter()
+            .find(|r| r.key == "family=agreeable,n=50" && r.metric == "fast_ms")
+            .unwrap();
+        assert!(row.delta.unwrap() > 0.9, "visible but not gating: {row:?}");
     }
 
-    /// Writer/reader contract: everything `ssp_bench::artifact` emits —
-    /// snapshot and history line alike — must parse back here with the
-    /// same keys and gated metrics.
+    /// Writer/reader contract: every history line `ssp_bench::artifact`
+    /// emits must parse back here with the same keys and gated metrics.
     #[test]
     fn bench_writer_output_round_trips() {
         use ssp_bench::artifact::{Artifact, CellBuilder};
@@ -83,25 +87,16 @@ mod tests {
                 .int("peels", 220)
                 .render()],
         };
-        for text in [
-            artifact.snapshot_json(),
-            artifact.history_line("abc1234") + "\n",
-        ] {
-            let parsed = parse_artifact(&text).unwrap();
-            assert_eq!(parsed.bench, "yds_kernel");
-            assert_eq!(parsed.cells.len(), 1);
-            assert_eq!(parsed.cells[0].key, "family=crossing,n=800");
-            assert_eq!(
-                parsed.cells[0].metrics,
-                vec![("fast_ms".to_string(), 1.25), ("ref_ms".to_string(), 14.5)]
-            );
-        }
+        let (runs, warnings) = parse_history(&(artifact.history_line("abc1234") + "\n"));
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs[0].bench, "yds_kernel");
+        assert_eq!(runs[0].rev, "abc1234");
+        assert_eq!(runs[0].cells.len(), 1);
+        assert_eq!(runs[0].cells[0].key, "family=crossing,n=800");
         assert_eq!(
-            parse_artifact(&artifact.history_line("abc1234"))
-                .unwrap()
-                .rev
-                .as_deref(),
-            Some("abc1234")
+            runs[0].cells[0].metrics,
+            vec![("fast_ms".to_string(), 1.25), ("ref_ms".to_string(), 14.5)]
         );
     }
 
@@ -237,15 +232,5 @@ mod tests {
         );
         assert!(!bare.contains("\"ts\""));
         assert_eq!(parse_history(&bare).0[0].ts, None);
-    }
-
-    #[test]
-    fn missing_and_added_cells_are_reported() {
-        let old = parse_artifact(&snapshot(0.113)).unwrap();
-        let mut new = old.clone();
-        new.cells[0].key = "family=crossing,n=50".to_string();
-        let diff = diff_artifacts(&old, &new, 0.10, 0.05);
-        assert_eq!(diff.missing, vec!["family=agreeable,n=50".to_string()]);
-        assert_eq!(diff.added, vec!["family=crossing,n=50".to_string()]);
     }
 }

@@ -110,4 +110,50 @@ mod tests {
         assert!(out.contains('!'), "slowdown flagged in the diff: {out}");
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// The gate is no looser than a fixed 10% threshold against the
+    /// previous run: replaying the committed trajectory with a fresh run
+    /// at 1.10x every latest `*_ms` value must flag every row whose new
+    /// value is at least 0.1 ms, for both kernel benches.
+    #[test]
+    fn committed_history_replay_flags_every_ten_percent_step() {
+        use ssp_bench::history::BenchRun;
+        let text = include_str!("../BENCH_history.jsonl");
+        let (all, warnings) = parse_history(text);
+        assert!(warnings.is_empty(), "{warnings:?}");
+        for bench in ["yds_kernel", "bal_kernel"] {
+            let mut runs: Vec<BenchRun> =
+                all.iter().filter(|r| r.bench == bench).cloned().collect();
+            let mut fresh = runs.last().expect("committed runs of the bench").clone();
+            for cell in &mut fresh.cells {
+                for (_, v) in &mut cell.metrics {
+                    *v *= 1.10;
+                }
+            }
+            runs.push(fresh.clone());
+            let rows = trajectory_rows(&runs, DEFAULT_WINDOW, DEFAULT_MIN_MS);
+            let mut gated = 0;
+            let mut missed = Vec::new();
+            for cell in &fresh.cells {
+                for (metric, v) in cell.metrics.iter().filter(|(_, v)| *v >= 0.1) {
+                    let row = rows
+                        .iter()
+                        .find(|r| r.key == cell.key && &r.metric == metric)
+                        .expect("a row per fresh metric");
+                    assert_eq!(row.latest, *v);
+                    gated += 1;
+                    if !row.flagged {
+                        missed.push(format!("{} {metric}: {row:?}", cell.key));
+                    }
+                }
+            }
+            assert!(gated > 0, "{bench}: no row at or above 0.1 ms");
+            assert!(
+                missed.is_empty(),
+                "{bench}: {} of {gated} rows missed:\n{}",
+                missed.len(),
+                missed.join("\n")
+            );
+        }
+    }
 }

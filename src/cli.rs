@@ -70,7 +70,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         Some("swf") => swf_import(&collect(args)?),
         Some("quantize") => quantize_cmd(&collect(args)?),
         Some("trace") => trace_cmd(&collect(args)?),
-        Some("bench-diff") => bench_diff_cmd(&collect(args)?),
         Some("bench") => bench_cmd(&collect(args)?),
         Some("serve") => serve_cmd(&collect(args)?),
         Some("serve-drive") => serve_drive_cmd(&collect(args)?),
@@ -122,26 +121,21 @@ commands:
                                       flagged with '!'
   trace fold <trace.jsonl>            flamegraph folded-stack output
                                       (one 'stack;path self_ns' line per span)
-  bench-diff <old> <new> [--threshold PCT] [--min-ms X]
-                                      compare two bench artifacts (snapshot
-                                      .json or history .jsonl); exit 1 when any
-                                      *_ms median regresses past PCT% (default
-                                      10) and is above the X ms noise floor
-                                      (default 0.05)
-  bench report <history.jsonl> [--window N] [--min-ms X] [--markdown]
-               [--gate] [--trace-dir DIR]
+  bench report <history.jsonl> [--markdown] [--gate] [--trace-dir DIR]
                                       per-cell trajectory over the whole
                                       history: sparkline per *_ms metric,
-                                      best/latest/delta, regressions judged
-                                      against each cell's history-calibrated
+                                      best/latest/delta; a latest point at or
+                                      above 0.05 ms is flagged when it exceeds
+                                      the lower of the trailing median and the
+                                      previous point by the cell's calibrated
                                       noise band (robust dispersion over the
-                                      trailing N runs, default 8) instead of
-                                      one global threshold; flagged cells get
-                                      their auto-attached probe trace from DIR
-                                      (default: traces/ next to the history)
-                                      diffed against DIR/baseline or folded;
-                                      --gate exits 1 on any flagged cell,
-                                      --markdown emits a GitHub-flavored table
+                                      trailing 8 runs, 5-10%); flagged cells
+                                      get their auto-attached probe trace from
+                                      DIR (default: traces/ next to the
+                                      history) diffed against DIR/baseline or
+                                      folded; --gate exits 1 on any flagged
+                                      cell, --markdown emits a GitHub-flavored
+                                      table
   serve [--socket PATH] [--stdin] [--workers N] [--queue-cap N]
         [--cache-cap N] [--shed-watermark N] [--timeout-ms MS]
         [--retries N] [--inject-transient K] [--telemetry OUT.jsonl]
@@ -795,62 +789,11 @@ fn trace_cmd(parsed: &Parsed) -> Result<String, CliError> {
     }
 }
 
-/// `bench-diff` — the bench-trajectory regression gate. Prints the
-/// comparison table; regressions past the threshold make it an exit-1
-/// runtime error (with the same table as the message) so CI can gate on it.
-fn bench_diff_cmd(parsed: &Parsed) -> Result<String, CliError> {
-    use ssp_bench::{history, report};
-    let (old_path, new_path) = match (parsed.positional.first(), parsed.positional.get(1)) {
-        (Some(a), Some(b)) => (a, b),
-        _ => {
-            return Err(CliError::usage(
-                "bench-diff needs <old> and <new> artifacts",
-            ))
-        }
-    };
-    let threshold: f64 = parsed.flag_parse("threshold")?.unwrap_or(10.0);
-    let min_ms: f64 = parsed
-        .flag_parse("min-ms")?
-        .unwrap_or(report::DEFAULT_MIN_MS);
-    if threshold.is_nan() || threshold < 0.0 || min_ms.is_nan() || min_ms < 0.0 {
-        return Err(CliError::usage("--threshold and --min-ms must be >= 0"));
-    }
-    let mut artifacts = Vec::with_capacity(2);
-    for path in [old_path, new_path] {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
-        artifacts.push(
-            history::parse_artifact(&text)
-                .map_err(|e| CliError::runtime(format!("cannot parse {path}: {e}")))?,
-        );
-    }
-    let diff = history::diff_artifacts(&artifacts[0], &artifacts[1], threshold / 100.0, min_ms);
-    let mut out = String::new();
-    if !diff.rows.is_empty() || !diff.missing.is_empty() || !diff.added.is_empty() {
-        let _ = writeln!(
-            out,
-            "comparing {} -> {}{}",
-            old_path,
-            new_path,
-            artifacts[1]
-                .rev
-                .as_deref()
-                .map(|r| format!(" (rev {r})"))
-                .unwrap_or_default()
-        );
-    }
-    out.push_str(&diff.render());
-    if diff.regressions() > 0 {
-        return Err(CliError::runtime(out));
-    }
-    Ok(out)
-}
-
 /// `bench report` — the perf-trajectory service: per-cell sparklines and
 /// history-calibrated regression annotations over the whole
 /// `BENCH_history.jsonl`, with auto-attached trace diffs for flagged
 /// cells. `--gate` turns any flagged cell into an exit-1 runtime error
-/// (with the full report as the message) so CI can gate on it.
+/// (with the full report as the message): the enforcing bench gate in CI.
 fn bench_cmd(parsed: &Parsed) -> Result<String, CliError> {
     use ssp_bench::{history, report};
     let sub = parsed
@@ -867,18 +810,6 @@ fn bench_cmd(parsed: &Parsed) -> Result<String, CliError> {
         .positional
         .get(1)
         .ok_or_else(|| CliError::usage("bench report needs a history.jsonl file"))?;
-    let window: usize = parsed
-        .flag_parse("window")?
-        .unwrap_or(report::DEFAULT_WINDOW);
-    if window == 0 {
-        return Err(CliError::usage("--window must be >= 1"));
-    }
-    let min_ms: f64 = parsed
-        .flag_parse("min-ms")?
-        .unwrap_or(report::DEFAULT_MIN_MS);
-    if min_ms.is_nan() || min_ms < 0.0 {
-        return Err(CliError::usage("--min-ms must be >= 0"));
-    }
     let markdown = parsed.has("markdown");
     let gate = parsed.has("gate");
     // Attached traces default to `traces/` next to the history file —
@@ -895,7 +826,7 @@ fn bench_cmd(parsed: &Parsed) -> Result<String, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
     let (runs, warnings) = history::parse_history(&text);
-    let rows = report::trajectory_rows(&runs, window, min_ms);
+    let rows = report::trajectory_rows(&runs, report::DEFAULT_WINDOW, report::DEFAULT_MIN_MS);
     let mut out = String::new();
     for w in &warnings {
         let _ = writeln!(out, "warning: {path}: {w}");
@@ -1882,48 +1813,34 @@ mod tests {
         std::fs::remove_file(&p_trace).ok();
     }
 
-    /// The regression gate: identical artifacts pass; an injected 10%
-    /// regression on a real cell makes `bench-diff` exit nonzero.
+    /// The regression gate: an unchanged re-run passes; a re-run 11% over
+    /// the previous point makes `bench report --gate` exit nonzero.
     #[test]
-    fn bench_diff_gates_on_injected_regression() {
-        let dir = std::env::temp_dir();
-        let p_old = dir.join(format!("ssp_cli_bd_old_{}.json", std::process::id()));
-        let p_new = dir.join(format!("ssp_cli_bd_new_{}.json", std::process::id()));
-        let snapshot = |fast: f64| {
+    fn bench_gate_fails_on_injected_regression() {
+        let p_hist =
+            std::env::temp_dir().join(format!("ssp_cli_gate_{}.jsonl", std::process::id()));
+        let p = p_hist.to_string_lossy().into_owned();
+        let line = |rev: &str, fast: f64| {
             format!(
-                concat!(
-                    "{{\"bench\":\"yds_kernel\",\"alpha\":2.0,\"unit\":\"ms_median\",\"cells\":[\n",
-                    "  {{\"family\":\"agreeable\",\"n\":50,\"fast_ms\":0.007,\"ref_ms\":0.006}},\n",
-                    "  {{\"family\":\"agreeable\",\"n\":200,\"fast_ms\":{},\"ref_ms\":0.35}}\n",
-                    "]}}"
-                ),
-                fast
+                "{{\"type\":\"bench_run\",\"bench\":\"yds_kernel\",\"rev\":\"{rev}\",\"cells\":[\
+                 {{\"family\":\"agreeable\",\"n\":50,\"fast_ms\":0.007,\"ref_ms\":0.006}},\
+                 {{\"family\":\"agreeable\",\"n\":200,\"fast_ms\":{fast},\"ref_ms\":0.35}}]}}\n"
             )
         };
-        std::fs::write(&p_old, snapshot(0.113)).unwrap();
-        std::fs::write(&p_new, snapshot(0.113)).unwrap();
-        let old = p_old.to_string_lossy().into_owned();
-        let new = p_new.to_string_lossy().into_owned();
+        let committed = line("aaa", 0.113);
 
-        // Unchanged artifact passes.
-        let out = run(&args(&["bench-diff", &old, &new])).unwrap();
+        // Unchanged re-run passes.
+        std::fs::write(&p_hist, committed.clone() + &line("bbb", 0.113)).unwrap();
+        let out = run(&args(&["bench", "report", &p, "--gate"])).unwrap();
         assert!(out.contains("0 regression(s)"), "{out}");
 
-        // Injected 10%+ regression on the n=200 cell: exit nonzero.
-        std::fs::write(&p_new, snapshot(0.113 * 1.11)).unwrap();
-        let err = run(&args(&["bench-diff", &old, &new])).unwrap_err();
+        // Re-run 11% over the previous point on the n=200 cell: exit 1.
+        std::fs::write(&p_hist, committed + &line("bbb", 0.113 * 1.11)).unwrap();
+        let err = run(&args(&["bench", "report", &p, "--gate"])).unwrap_err();
         assert_eq!(err.code, 1);
         assert!(err.message.contains("1 regression(s)"), "{}", err.message);
-        assert!(err.message.contains('!'), "{}", err.message);
-
-        // A looser threshold lets the same pair pass.
-        let out = run(&args(&["bench-diff", &old, &new, "--threshold", "25"])).unwrap();
-        assert!(out.contains("0 regression(s)"), "{out}");
-
-        // Usage guardrails.
-        assert_eq!(run(&args(&["bench-diff", &old])).unwrap_err().code, 2);
-        std::fs::remove_file(&p_old).ok();
-        std::fs::remove_file(&p_new).ok();
+        assert!(err.message.contains(" !"), "{}", err.message);
+        std::fs::remove_file(&p_hist).ok();
     }
 
     /// The trajectory service: sparklines and history-calibrated
@@ -1983,12 +1900,6 @@ mod tests {
         assert_eq!(run(&args(&["bench"])).unwrap_err().code, 2);
         assert_eq!(run(&args(&["bench", "nope", &p])).unwrap_err().code, 2);
         assert_eq!(run(&args(&["bench", "report"])).unwrap_err().code, 2);
-        assert_eq!(
-            run(&args(&["bench", "report", &p, "--window", "0"]))
-                .unwrap_err()
-                .code,
-            2
-        );
         std::fs::remove_file(&p_hist).ok();
     }
 
