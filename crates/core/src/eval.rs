@@ -40,7 +40,16 @@ use crate::assignment::Assignment;
 use ssp_model::numeric::energy_of;
 use ssp_model::{Instance, Job};
 use ssp_single::yds::{yds_energy_in, yds_schedule, YdsArena};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault};
+
+/// Hash state of the memo tables: SipHash with fixed keys instead of the
+/// per-process random keys of `RandomState`. Clearing or dropping a table
+/// frees its boxed keys and owned values in bucket order, so random keys
+/// gave every process its own free order, and with it its own heap layout
+/// and peak memory.
+type Memo<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
 /// Relative safety margin applied to every analytic bound before it is
 /// allowed to certify a rejection. The bounds are computed from the float
@@ -174,7 +183,7 @@ pub struct YdsEval<'a> {
     /// Current YDS energy per machine.
     energy: Vec<f64>,
     /// Memo: ordered job-index list → YDS energy of that list.
-    cache: HashMap<Box<[u32]>, f64>,
+    cache: Memo<Box<[u32]>, f64>,
     /// Entry cap; the cache is cleared (not LRU-evicted) on overflow.
     cache_cap: usize,
     scratch_jobs: Vec<Job>,
@@ -199,7 +208,7 @@ pub struct YdsEval<'a> {
     /// Per-job depleted snapshots (machine solved without the job), each
     /// tagged with the machine and its stamp at build time. At most one
     /// entry per job.
-    depl: HashMap<u32, DeplEntry>,
+    depl: Memo<u32, DeplEntry>,
     /// Per-machine mutation stamps, bumped whenever a machine's job set
     /// changes; invalidate that machine's snapshots in `depl` without
     /// walking the map (snapshots of untouched machines stay valid).
@@ -230,7 +239,7 @@ impl<'a> YdsEval<'a> {
             machine_of: vec![UNASSIGNED; n],
             groups: vec![Vec::new(); m],
             energy: vec![0.0; m],
-            cache: HashMap::new(),
+            cache: Memo::default(),
             cache_cap,
             scratch_jobs: Vec::new(),
             arena: YdsArena::default(),
@@ -241,7 +250,7 @@ impl<'a> YdsEval<'a> {
             speed_of_job: vec![f64::NAN; n],
             profiles: vec![Vec::new(); m],
             profile_dirty: vec![true; m],
-            depl: HashMap::new(),
+            depl: Memo::default(),
             mstamp: vec![0; m],
         }
     }
@@ -775,7 +784,7 @@ impl<'a> YdsEval<'a> {
 /// Counters: `eval.live_hit`, `eval.live_miss`, `eval.live_evict`.
 pub struct LiveEval {
     alpha: f64,
-    cache: HashMap<Box<[u32]>, f64>,
+    cache: ListMemo,
     cache_cap: usize,
     key: Vec<u32>,
     jobs: Vec<Job>,
@@ -792,7 +801,7 @@ impl LiveEval {
             // Live windows are short (the whole point of compaction), so a
             // flat entry cap keeps the memo well under ~64 MB of keys.
             cache_cap: 262_144,
-            cache: HashMap::new(),
+            cache: ListMemo::default(),
             key: Vec::new(),
             jobs: Vec::new(),
             arena: YdsArena::default(),
@@ -835,7 +844,7 @@ impl LiveEval {
         if key.is_empty() {
             return 0.0;
         }
-        if let Some(&e) = self.cache.get(key) {
+        if let Some(e) = self.cache.get(key) {
             ssp_probe::counter!("eval.live_hit");
             return e;
         }
@@ -850,8 +859,80 @@ impl LiveEval {
             ssp_probe::counter!("eval.live_evict");
             self.cache.clear();
         }
-        self.cache.insert(key.to_vec().into_boxed_slice(), e);
+        self.cache.insert(key, e);
         e
+    }
+}
+
+/// [`LiveEval`]'s memo: ordered job-id lists → energies, with every key
+/// stored in one flat id buffer. A live window is a handful of ids, so a
+/// heap box per key (as in [`YdsEval`]'s memo of whole machine lists) would
+/// cost more than the ids it holds, and dropping a full memo would scatter
+/// a quarter million small free chunks over the heap.
+#[derive(Default)]
+struct ListMemo {
+    /// Hash of a list → its newest entry; entries whose lists share a hash
+    /// chain through [`ListEntry::next`].
+    index: Memo<u64, u32>,
+    entries: Vec<ListEntry>,
+    ids: Vec<u32>,
+}
+
+struct ListEntry {
+    /// The list is `ids[start..start + len]`.
+    start: usize,
+    len: u32,
+    /// Older entry with the same hash, or [`ListEntry::END`].
+    next: u32,
+    energy: f64,
+}
+
+impl ListEntry {
+    const END: u32 = u32::MAX;
+}
+
+impl ListMemo {
+    fn get(&self, key: &[u32]) -> Option<f64> {
+        self.get_hashed(self.index.hasher().hash_one(key), key)
+    }
+
+    /// Record `key → energy`; `key` must not be present yet.
+    fn insert(&mut self, key: &[u32], energy: f64) {
+        self.insert_hashed(self.index.hasher().hash_one(key), key, energy);
+    }
+
+    fn get_hashed(&self, hash: u64, key: &[u32]) -> Option<f64> {
+        let mut at = *self.index.get(&hash)?;
+        while at != ListEntry::END {
+            let e = &self.entries[at as usize];
+            if &self.ids[e.start..e.start + e.len as usize] == key {
+                return Some(e.energy);
+            }
+            at = e.next;
+        }
+        None
+    }
+
+    fn insert_hashed(&mut self, hash: u64, key: &[u32], energy: f64) {
+        let at = u32::try_from(self.entries.len()).expect("entry cap fits u32");
+        let next = self.index.insert(hash, at).unwrap_or(ListEntry::END);
+        self.entries.push(ListEntry {
+            start: self.ids.len(),
+            len: key.len() as u32,
+            next,
+            energy,
+        });
+        self.ids.extend_from_slice(key);
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn clear(&mut self) {
+        self.index.clear();
+        self.entries.clear();
+        self.ids.clear();
     }
 }
 
@@ -1034,6 +1115,29 @@ mod tests {
             // Second query of the same window must hit the memo and agree.
             assert_eq!(live.energy(window).to_bits(), direct.to_bits());
         }
+    }
+
+    #[test]
+    fn list_memo_keeps_lists_that_share_a_hash_apart() {
+        let mut memo = ListMemo::default();
+        memo.insert_hashed(7, &[1, 2], 1.5);
+        memo.insert_hashed(7, &[2, 1], 2.5);
+        memo.insert_hashed(7, &[1, 2, 3], 3.5);
+        assert_eq!(memo.get_hashed(7, &[1, 2]), Some(1.5));
+        assert_eq!(memo.get_hashed(7, &[2, 1]), Some(2.5));
+        assert_eq!(memo.get_hashed(7, &[1, 2, 3]), Some(3.5));
+        assert_eq!(memo.get_hashed(7, &[1]), None);
+        assert_eq!(memo.get_hashed(8, &[1, 2]), None);
+        for k in 0..500u32 {
+            let key: Vec<u32> = (k..k + k % 7).collect();
+            if memo.get(&key).is_none() {
+                memo.insert(&key, f64::from(k));
+            }
+        }
+        assert_eq!(memo.get(&[10, 11, 12]), Some(10.0));
+        assert_eq!(memo.get(&[]), Some(0.0));
+        memo.clear();
+        assert_eq!((memo.len(), memo.get(&[10, 11, 12])), (0, None));
     }
 
     #[test]

@@ -30,9 +30,10 @@ use crate::mcnaughton::mcnaughton;
 use crate::wap::{Wap, WapSolver};
 use ssp_maxflow::FlowNetwork;
 use ssp_model::numeric::{bisect_threshold_budgeted, BINARY_SEARCH_REL_WIDTH};
-use ssp_model::par::par_map_mut;
+use ssp_model::par::par_map;
 use ssp_model::resource::{Budget, Meter};
 use ssp_model::{Instance, IntervalSet, Schedule, SolveError, SpeedAssignment};
+use std::sync::Mutex;
 
 /// One peeling round: the critical speed and the jobs fixed at it.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,14 +61,13 @@ pub enum ProbeStrategy {
     /// deterministic fan-out of candidate speeds — the discrete-Newton bound
     /// read from the last infeasible cut ([`WapSolver::cut_speed_bound`])
     /// plus a geometric splitter while the bracket is wide — and solves
-    /// each candidate on its own bitwise copy of one shared warm base state
-    /// (per-probe scratch slots refreshed by `clone_from`, fanned out via
-    /// [`ssp_model::par::par_map_mut`]). The reduction is
-    /// serial in plan order (smallest feasible probe → new upper bound,
-    /// largest infeasible probe's slot → new base), so transcripts and
-    /// energies are bit-identical at any `SSP_THREADS`. Converges in
-    /// roughly one fan-out per distinct cut instead of ~40 bisection probes
-    /// per round.
+    /// each candidate on its own clone of one shared warm base state (solved
+    /// in a fan-out, [`ssp_model::par::par_map`]). The
+    /// reduction is serial in plan order (smallest feasible probe → new
+    /// upper bound, largest infeasible probe's clone → new base), so
+    /// transcripts and energies are bit-identical at any `SSP_THREADS`.
+    /// Converges in roughly one fan-out per distinct cut instead of ~40
+    /// bisection probes per round.
     #[default]
     Ladder,
     /// Plain budgeted bisection
@@ -237,10 +237,6 @@ pub fn try_bal_with_wap_strategy(
         });
     }
     let mut budget_exhausted = None;
-    // Per-probe scratch solvers for the ladder fan-outs, owned across
-    // rounds: each fan-out refreshes them with `clone_from`, which reuses
-    // the adjacency/edge allocations sized by earlier rounds.
-    let mut ladder_slots: Vec<WapSolver> = Vec::new();
 
     while !remaining.is_empty() {
         let _round_span = ssp_probe::span("bal.round");
@@ -329,7 +325,6 @@ pub fn try_bal_with_wap_strategy(
                     instance,
                     &remaining,
                     &mut solver,
-                    &mut ladder_slots,
                     lo,
                     hi,
                     &mut meter,
@@ -387,10 +382,6 @@ pub fn try_bal_with_wap_strategy(
         solver.solve(&pbuf);
         let job_side = solver.jobs_reachable();
         let ival_side = solver.intervals_reachable();
-        // Carry the sweep decline-backoff penalty into the next round's
-        // solver: decline is structural and the post-peel network differs
-        // by one capacity update, so the learned dispatch policy transfers.
-        wap.absorb_dispatch(&solver);
 
         let mut critical: Vec<usize> = remaining.iter().copied().filter(|&i| job_side[i]).collect();
         if critical.is_empty() {
@@ -559,6 +550,17 @@ fn probe_on(
     solver.feasible()
 }
 
+/// One probe at uniform speed `v` on `solver` with per-job works `works`
+/// (demands `w_i / v`, 0 for jobs with zero work).
+fn probe_works(solver: &mut WapSolver, works: &[f64], v: f64) -> bool {
+    let p: Vec<f64> = works
+        .iter()
+        .map(|&w| if w > 0.0 { w / v } else { 0.0 })
+        .collect();
+    solver.solve(&p);
+    solver.feasible()
+}
+
 /// The cut-guided probe ladder: locate the round's critical speed inside
 /// `(lo, hi]` (with `hi` already probed feasible on `base`).
 ///
@@ -578,17 +580,14 @@ fn probe_on(
 /// of the same base state** — also at width 1, so a serial run replays
 /// exactly what any parallel run computes (warm-repairing probes
 /// sequentially would let one probe's final flow perturb the next result
-/// near the feasibility boundary). The copies live in `slots`, per-probe
-/// scratch solvers owned
-/// by the round driver and refreshed with `clone_from` each fan-out:
-/// `Vec::clone_from` reuses the adjacency/edge allocations already sized by
-/// an earlier fan-out, so after warm-up a probe costs no heap traffic on
-/// top of the flow work itself. Slot state after the refresh is bitwise
-/// equal to `base`, so which slot (and which worker thread, under
-/// [`par_map_mut`]'s chunk partition) runs a probe cannot change its
-/// result. The reduction is serial in plan order: every smallest feasible
-/// probe lowers `hi`, the largest infeasible probe's slot is copied back
-/// into the base (its cut feeds the next Newton step). The ladder
+/// near the feasibility boundary). Each copy is cloned from `base` before
+/// the fan-out and is bitwise equal to it, so which worker thread (under
+/// [`par_map`]'s work sharing) runs a probe cannot change its result. The
+/// reduction is serial in plan order: every smallest feasible probe lowers
+/// `hi`, the largest infeasible probe's copy is cloned back into the base
+/// (its cut feeds the next Newton step). Both clones run on the calling
+/// thread, so the solver state that outlives a fan-out is allocated there
+/// and never on a short-lived worker's allocator arena. The ladder
 /// terminates when the bracket closes below [`BINARY_SEARCH_REL_WIDTH`] or
 /// when the Newton bound certifies `hi` itself; on budget exhaustion it
 /// returns the best feasible speed so far with `meter.exhausted()` set, the
@@ -602,7 +601,6 @@ fn ladder_search(
     instance: &Instance,
     remaining: &[usize],
     base: &mut WapSolver,
-    slots: &mut Vec<WapSolver>,
     lo: f64,
     hi: f64,
     meter: &mut Meter,
@@ -711,14 +709,7 @@ fn ladder_search(
         // and the round costs exactly one warm incremental solve.
         if plan.len() == 1 {
             let v = plan[0];
-            let mut p = vec![0.0f64; works.len()];
-            for (pi, &w) in p.iter_mut().zip(&works) {
-                if w > 0.0 {
-                    *pi = w / v;
-                }
-            }
-            base.solve(&p);
-            let ok = base.feasible();
+            let ok = probe_works(base, &works, v);
             *flow_computations += 1;
             probe_log.push((v, ok));
             if ok {
@@ -741,33 +732,14 @@ fn ladder_search(
             continue;
         }
 
-        // Fan out: refresh one scratch slot per probe to a bitwise copy of
-        // the base (`clone_from` reuses each slot's allocations after the
-        // first fan-out) and solve the slots in parallel.
-        for k in 0..plan.len() {
-            if k < slots.len() {
-                slots[k].clone_from(base);
-            } else {
-                slots.push(base.clone());
-            }
-        }
-        let works_ref: &[f64] = &works;
-        let mut items: Vec<(f64, &mut WapSolver)> = plan
-            .iter()
-            .copied()
-            .zip(slots[..plan.len()].iter_mut())
-            .collect();
-        let results: Vec<(f64, bool)> = par_map_mut(&mut items, |(v, s)| {
-            let mut p = vec![0.0f64; works_ref.len()];
-            for (pi, &w) in p.iter_mut().zip(works_ref) {
-                if w > 0.0 {
-                    *pi = w / *v;
-                }
-            }
-            s.solve(&p);
-            (*v, s.feasible())
-        });
-        drop(items);
+        // Fan out: clone the base once per probe on this thread and solve
+        // the clones in parallel.
+        let slots: Vec<Mutex<WapSolver>> = plan.iter().map(|_| Mutex::new(base.clone())).collect();
+        let results: Vec<(f64, bool)> =
+            par_map(plan.into_iter().enumerate().collect(), |&(k, v)| {
+                let mut s = slots[k].lock().expect("each clone has one worker");
+                (v, probe_works(&mut s, &works, v))
+            });
         *flow_computations += results.len();
 
         // Serial reduction in plan order.
@@ -785,7 +757,10 @@ fn ladder_search(
             }
         }
         if let Some(k) = adopt {
-            base.clone_from(&slots[k]);
+            // Copied, not moved: the solve may have grown the clone's
+            // buffers on its worker's arena, and the base outlives the
+            // fan-out.
+            *base = slots[k].lock().expect("each clone has one worker").clone();
             base_infeasible = true;
         }
         if v_lo > v_hi {

@@ -36,9 +36,6 @@ pub enum WapKernel {
     /// (it always does for elementary intervals), generic flow otherwise.
     #[default]
     Auto,
-    /// Force the sweep kernel (panics at [`Wap::solver`] if the alive sets
-    /// are not contiguous runs).
-    Sweep,
     /// Force the generic flow engine (used by warm-start experiments and
     /// as the differential referee).
     Flow,
@@ -61,31 +58,6 @@ pub struct Wap {
     contiguous: bool,
     /// Kernel selection policy for solvers built from this instance.
     kernel: WapKernel,
-    /// Learned sweep decline-backoff penalty and the *remaining* skip
-    /// window, folded back from finished solvers via
-    /// [`Wap::absorb_dispatch`] so per-round solvers (BAL) do not relearn
-    /// the dispatch policy from scratch. Carrying the remainder (not a
-    /// fresh window) is what guarantees a re-probe at least every
-    /// `2^SWEEP_BACKOFF_CAP` solves globally: rounds are often shorter
-    /// than the window, and re-arming it each round would lock the sweep
-    /// out permanently once the penalty climbed.
-    sweep_penalty: u32,
-    sweep_skip: u32,
-}
-
-/// Decline-backoff cap: after repeated sweep declines the dispatcher skips
-/// the sweep attempt for up to `2^CAP` consecutive solves before re-probing
-/// it. Whether the greedy certifies is a property of the capacity structure,
-/// which drifts slowly across probes, so outcomes are strongly correlated:
-/// on decline-heavy instances (crossing windows) the attempt is pure
-/// overhead — certified or not, the generic engine must finish the solve —
-/// while the cap keeps at least one re-probe per 32 solves so a structure
-/// that turns sweep-friendly after peeling is picked back up.
-const SWEEP_BACKOFF_CAP: u32 = 5;
-
-/// Solves to skip after the `penalty`-th consecutive failed re-probe.
-fn backoff_window(penalty: u32) -> u32 {
-    1u32 << penalty.min(SWEEP_BACKOFF_CAP)
 }
 
 impl Wap {
@@ -106,8 +78,6 @@ impl Wap {
             capacity,
             contiguous,
             kernel: WapKernel::Auto,
-            sweep_penalty: 0,
-            sweep_skip: 0,
         }
     }
 
@@ -146,31 +116,11 @@ impl Wap {
         self.capacity[j]
     }
 
-    /// Kernel selection policy used by [`Wap::solver`].
-    pub fn kernel(&self) -> WapKernel {
-        self.kernel
-    }
-
     /// Override the kernel selection policy (experiments and differential
     /// referees force [`WapKernel::Flow`]; everything else should leave the
     /// default [`WapKernel::Auto`]).
     pub fn set_kernel(&mut self, kernel: WapKernel) {
         self.kernel = kernel;
-    }
-
-    /// Fold a finished solver's dispatch feedback back into the instance:
-    /// the next [`Wap::solver`] starts from the learned sweep decline
-    /// penalty instead of relearning it. BAL calls this at the end of each
-    /// round — the post-peel structure is one capacity update away from the
-    /// one the solver just probed, so its decline behaviour carries over.
-    /// Purely a scheduling hint: it changes which engine answers a solve,
-    /// never the answer (both kernels produce identical verdicts, canonical
-    /// cuts, and cut sums).
-    pub fn absorb_dispatch(&mut self, solver: &WapSolver) {
-        if let KernelImpl::Sweep { penalty, skip, .. } = &solver.kernel {
-            self.sweep_penalty = *penalty;
-            self.sweep_skip = *skip;
-        }
     }
 
     /// Mutate a capacity (BAL's per-round updates). Values below a relative
@@ -215,21 +165,11 @@ impl Wap {
     /// propagate into an existing solver; build a fresh one per round.
     /// This holds for *both* kernels, including the sweep kernel's lazy
     /// flow fallback (it is built from the sweep's own frozen snapshot,
-    /// never from `self`).
+    /// never from `self`). Nothing carries over from earlier solvers: every
+    /// sweep-kernel solver starts by attempting the sweep.
     pub fn solver(&self) -> WapSolver {
-        let use_sweep = match self.kernel {
-            WapKernel::Flow => false,
-            WapKernel::Auto => self.contiguous,
-            WapKernel::Sweep => {
-                assert!(
-                    self.contiguous,
-                    "sweep kernel requires contiguous alive sets"
-                );
-                true
-            }
-        };
         let _span = ssp_probe::span("wap.solver_build");
-        let kernel = if use_sweep {
+        let kernel = if self.kernel == WapKernel::Auto && self.contiguous {
             let windows: Vec<(u32, u32)> = self
                 .alive
                 .iter()
@@ -244,17 +184,7 @@ impl Wap {
                 .zip(&self.capacity)
                 .map(|(&len, &c)| if c > 0.0 { len.min(c) } else { 0.0 })
                 .collect();
-            KernelImpl::Sweep {
-                sweep: SweepFlow::new(windows, edge_cap, self.capacity.clone()),
-                fallback: None,
-                last: Engine::Sweep,
-                // A learned penalty starts the solver mid-backoff (the new
-                // round's structure is one peel away from the one the sweep
-                // kept declining), resuming the *remaining* window rather
-                // than re-arming a fresh one — see the field docs.
-                skip: self.sweep_skip,
-                penalty: self.sweep_penalty,
-            }
+            KernelImpl::Sweep(SweepFlow::new(windows, edge_cap, self.capacity.clone()))
         } else {
             KernelImpl::Flow(FlowState::build(
                 self.alive
@@ -277,18 +207,11 @@ impl Wap {
     /// annotated flow for feasibility tests / allotment readback /
     /// residual-reachability queries. One-shot; for repeated queries over
     /// varying demands use [`Wap::solver`].
-    pub fn solve(&self, p: &[f64]) -> WapFlow {
+    pub fn solve(&self, p: &[f64]) -> WapSolver {
         let mut solver = self.solver();
         solver.solve(p);
-        WapFlow { solver }
+        solver
     }
-}
-
-/// Which engine produced the last accepted solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Engine {
-    Sweep,
-    Flow,
 }
 
 /// The generic-flow engine state: Horn's network plus the edge handles
@@ -391,9 +314,7 @@ impl FlowState {
     /// Route the demand vector starting from the sweep's water-filling
     /// allocation: seed every edge with the greedy flow (a valid,
     /// near-maximal flow over the same capacities) and augment only the
-    /// undershoot. Each call re-seeds from scratch, so no state leaks
-    /// between fallback solves and warm-repair bookkeeping never enters
-    /// the picture.
+    /// undershoot.
     fn solve_seeded(&mut self, p: &[f64], sweep: &SweepFlow) -> f64 {
         for (i, &demand) in p.iter().enumerate() {
             self.net.set_capacity(self.source_edges[i], demand);
@@ -483,19 +404,12 @@ fn finish_cut_bound(any_job: bool, w_s: f64, fixed: f64) -> Option<f64> {
 /// The engine state behind a [`WapSolver`].
 #[derive(Debug, Clone)]
 enum KernelImpl {
-    /// Fast path: certificate-gated sweep with a lazily-built generic-flow
-    /// fallback over the same structure snapshot. `skip`/`penalty` drive
-    /// the decline backoff (see [`SWEEP_BACKOFF_CAP`]): while `skip > 0`
-    /// solves route straight to the generic engine without attempting the
-    /// sweep; a certified attempt resets `penalty`, a declined one doubles
-    /// the next window.
-    Sweep {
-        sweep: SweepFlow,
-        fallback: Option<Box<FlowState>>,
-        last: Engine,
-        skip: u32,
-        penalty: u32,
-    },
+    /// Fast path: the certificate-gated sweep, until it first declines.
+    Sweep(SweepFlow),
+    /// The generic engine that took over from a declined sweep, built over
+    /// the sweep's frozen structure snapshot. It answers every later solve
+    /// of the solver with a warm repair.
+    Fallback(FlowState),
     /// Generic flow only (non-contiguous structure or forced).
     Flow(FlowState),
 }
@@ -503,22 +417,29 @@ enum KernelImpl {
 /// A persistent WAP feasibility solver behind a kernel-agnostic API: the
 /// sweep kernel re-solves each demand vector from scratch in `O(n log n)`
 /// and self-certifies; the generic flow engine warm-starts each solve from
-/// the previous flow (see [`FlowNetwork::max_flow_incremental`]). Counters:
-/// `wap.flow_calls` (every solve), `wap.fast_path` (certified sweep
-/// solves), `wap.fast_fallback` (sweep declined, generic engine re-solved),
-/// `wap.sweep_skip` (sweep not attempted: decline backoff routed the solve
-/// straight to the generic engine), `wap.sweep_confirm` (sweep certified
-/// while the penalty was still draining: the engine answered and the
-/// penalty stepped down), `wap.sweep_ops` (sweep kernel work measure). For
-/// a sweep-kernel solver every solve lands in exactly one of `fast_path`,
-/// `fast_fallback`, `sweep_skip`, or `sweep_confirm`.
+/// the previous flow (see [`FlowNetwork::max_flow_incremental`]).
 ///
-/// `Clone` forks the whole parametric state (either kernel, flow, value): a
-/// clone warm-starts from exactly the state its original held, and solving
-/// either side never perturbs the other. The BAL probe ladder leans on this
-/// — each candidate speed of a fan-out solves on its own clone of one
-/// shared base state, so the probe results are bit-identical at any thread
-/// count (a probe can never observe a sibling's flow).
+/// Dispatch is one rule: a sweep-kernel solver runs the sweep until it first
+/// declines to certify; that solve is finished by the generic engine seeded
+/// with the sweep's water-fill, and the engine answers every later solve of
+/// the solver. A decline is structural within one capacity snapshot, so
+/// re-attempting the sweep would mostly buy a second decline, and switching
+/// back would leave the engine's warm flow stale. Each new solver (each BAL
+/// round) attempts the sweep afresh, so a fallback always starts seeded.
+///
+/// Counters: `wap.flow_calls` (every solve), `wap.fast_path` (certified
+/// sweep solves), `wap.fast_fallback` (the sweep's first decline: the
+/// seeded generic engine finished the solve), `wap.sweep_skip` (later
+/// solves the engine answered without attempting the sweep), `wap.sweep_ops`
+/// (sweep kernel work measure). For a sweep-kernel solver every solve lands
+/// in exactly one of `fast_path`, `fast_fallback` or `sweep_skip`.
+///
+/// `Clone` forks the whole parametric state (kernel, flow, value): a clone
+/// warm-starts from exactly the state its original held, and solving either
+/// side never perturbs the other. The BAL probe ladder leans on this — each
+/// candidate speed of a fan-out solves on its own clone of one shared base
+/// state, so the probe results are bit-identical at any thread count (a
+/// probe can never observe a sibling's flow).
 #[derive(Debug, Clone)]
 pub struct WapSolver {
     kernel: KernelImpl,
@@ -526,12 +447,6 @@ pub struct WapSolver {
     num_intervals: usize,
     value: f64,
     demand: f64,
-}
-
-/// The engine holding the last accepted solve's state.
-enum Active<'a> {
-    Sweep(&'a SweepFlow),
-    Flow(&'a FlowState),
 }
 
 impl WapSolver {
@@ -548,114 +463,41 @@ impl WapSolver {
         }
         self.value = match &mut self.kernel {
             KernelImpl::Flow(fs) => fs.solve(p),
-            KernelImpl::Sweep {
-                sweep,
-                fallback,
-                last,
-                skip,
-                penalty,
-            } => {
-                if *skip > 0 {
-                    // Inside a decline-backoff window: recent attempts kept
-                    // declining, making the sweep pure overhead (the generic
-                    // engine had to finish those solves anyway). Route
-                    // straight to it; its warm repair from the previous
-                    // solve is exactly what a forced-Flow solver would do.
-                    *skip -= 1;
-                    ssp_probe::counter!("wap.sweep_skip");
-                    *last = Engine::Flow;
-                    let fs = fallback.get_or_insert_with(|| {
-                        let _s = ssp_probe::span("wap.fallback_build");
-                        Box::new(FlowState::build_from_sweep(sweep))
-                    });
-                    let _s = ssp_probe::span("wap.fallback_solve");
-                    fs.solve(p)
+            KernelImpl::Fallback(fs) => {
+                ssp_probe::counter!("wap.sweep_skip");
+                let _s = ssp_probe::span("wap.fallback_solve");
+                fs.solve(p)
+            }
+            KernelImpl::Sweep(sweep) => {
+                let v = {
+                    let _s = ssp_probe::span("wap.sweep");
+                    sweep.solve(p)
+                };
+                ssp_probe::counter!("wap.sweep_ops", sweep.ops());
+                if sweep.certified() {
+                    ssp_probe::counter!("wap.fast_path");
+                    v
                 } else {
-                    let v = {
-                        let _s = ssp_probe::span("wap.sweep");
-                        sweep.solve(p)
+                    // The greedy undershot (a per-cell cap starved a
+                    // longer-windowed job); finish the solve exactly on the
+                    // frozen structure snapshot, seeded with the greedy flow
+                    // so only the undershoot needs augmenting.
+                    ssp_probe::counter!("wap.fast_fallback");
+                    let mut fs = {
+                        let _s = ssp_probe::span("wap.fallback_build");
+                        FlowState::build_from_sweep(sweep)
                     };
-                    ssp_probe::counter!("wap.sweep_ops", sweep.ops());
-                    if sweep.certified() && *penalty == 0 {
-                        ssp_probe::counter!("wap.fast_path");
-                        *last = Engine::Sweep;
-                        v
-                    } else if sweep.certified() {
-                        // Certified, but the penalty is still draining:
-                        // answer from the generic engine anyway and only
-                        // step the penalty down. An isolated certify inside
-                        // a decline-heavy stretch is a net loss for the fast
-                        // path — skipping the engine leaves its warm flow
-                        // stale, and the *next* engine solve repays the
-                        // whole demand gap as extra repair work. Only a
-                        // streak of certified attempts (penalty draining to
-                        // zero) re-promotes the sweep; the confirmation
-                        // solves cost one cheap sweep pass on top of the
-                        // engine work that was being paid anyway.
-                        ssp_probe::counter!("wap.sweep_confirm");
-                        *penalty -= 1;
-                        let fs = fallback.get_or_insert_with(|| {
-                            let _s = ssp_probe::span("wap.fallback_build");
-                            Box::new(FlowState::build_from_sweep(sweep))
-                        });
-                        *last = Engine::Flow;
+                    let v = {
                         let _s = ssp_probe::span("wap.fallback_solve");
-                        if fs.solved {
-                            fs.solve(p)
-                        } else {
-                            fs.solve_seeded(p, sweep)
-                        }
-                    } else {
-                        // The greedy undershot (a per-cell cap starved a
-                        // longer-windowed job); finish the solve exactly on
-                        // the frozen structure snapshot, seeded with the
-                        // greedy flow so only the undershoot needs
-                        // augmenting. Back off the next attempts: decline is
-                        // structural, so the following probes would almost
-                        // surely decline too.
-                        ssp_probe::counter!("wap.fast_fallback");
-                        *skip = backoff_window(*penalty);
-                        *penalty = penalty.saturating_add(1);
-                        let fs = fallback.get_or_insert_with(|| {
-                            let _s = ssp_probe::span("wap.fallback_build");
-                            Box::new(FlowState::build_from_sweep(sweep))
-                        });
-                        *last = Engine::Flow;
-                        let _s = ssp_probe::span("wap.fallback_solve");
-                        if fs.solved {
-                            // Warm incremental repair from the previous
-                            // fallback flow — consecutive probes differ only
-                            // in demand scale, so the repair is cheaper than
-                            // re-seeding and re-augmenting the greedy's
-                            // structural undershoot from scratch.
-                            fs.solve(p)
-                        } else {
-                            fs.solve_seeded(p, sweep)
-                        }
-                    }
+                        fs.solve_seeded(p, sweep)
+                    };
+                    self.kernel = KernelImpl::Fallback(fs);
+                    v
                 }
             }
         };
         self.demand = p.iter().sum();
         self.value
-    }
-
-    /// The engine that produced the last accepted solve.
-    fn active(&self) -> Active<'_> {
-        match &self.kernel {
-            KernelImpl::Flow(fs) => Active::Flow(fs),
-            KernelImpl::Sweep {
-                sweep,
-                fallback,
-                last,
-                ..
-            } => match last {
-                Engine::Sweep => Active::Sweep(sweep),
-                Engine::Flow => {
-                    Active::Flow(fallback.as_deref().expect("fallback engine was built"))
-                }
-            },
-        }
     }
 
     /// Achieved max-flow value of the last [`solve`](WapSolver::solve).
@@ -668,16 +510,6 @@ impl WapSolver {
         self.demand
     }
 
-    /// Current sweep decline-backoff penalty (0 = the sweep is attempted on
-    /// every solve; always 0 for the generic-flow kernel). Exposed for
-    /// dispatch-policy tests and [`Wap::absorb_dispatch`] diagnostics.
-    pub fn dispatch_penalty(&self) -> u32 {
-        match &self.kernel {
-            KernelImpl::Sweep { penalty, .. } => *penalty,
-            KernelImpl::Flow(_) => 0,
-        }
-    }
-
     /// Feasible iff the flow meets the whole demand (tolerantly: max-flow
     /// arithmetic accumulates `O(E·eps)` error).
     pub fn feasible(&self) -> bool {
@@ -687,17 +519,17 @@ impl WapSolver {
     /// Time allotted to job `i` in each of its open intervals: `(j, t_ij)`,
     /// skipping zero allotments.
     pub fn allotment(&self, i: usize) -> Vec<(usize, f64)> {
-        match self.active() {
-            Active::Sweep(s) => s.allotment(i),
-            Active::Flow(fs) => fs.allotment(i),
+        match &self.kernel {
+            KernelImpl::Sweep(s) => s.allotment(i),
+            KernelImpl::Fallback(fs) | KernelImpl::Flow(fs) => fs.allotment(i),
         }
     }
 
     /// Demand actually routed for job `i`.
     pub fn routed(&self, i: usize) -> f64 {
-        match self.active() {
-            Active::Sweep(s) => s.routed(i),
-            Active::Flow(fs) => fs.routed(i),
+        match &self.kernel {
+            KernelImpl::Sweep(s) => s.routed(i),
+            KernelImpl::Fallback(fs) | KernelImpl::Flow(fs) => fs.routed(i),
         }
     }
 
@@ -708,9 +540,9 @@ impl WapSolver {
     /// the classification is identical whichever kernel produced the flow
     /// (the sweep only reports sides it has certified).
     pub fn jobs_reachable(&self) -> Vec<bool> {
-        match self.active() {
-            Active::Sweep(s) => s.job_side().to_vec(),
-            Active::Flow(fs) => {
+        match &self.kernel {
+            KernelImpl::Sweep(s) => s.job_side().to_vec(),
+            KernelImpl::Fallback(fs) | KernelImpl::Flow(fs) => {
                 let side = fs.net.residual_reachable_from_source();
                 (0..self.num_jobs).map(|i| side[1 + i]).collect()
             }
@@ -721,9 +553,9 @@ impl WapSolver {
     /// On the same infeasible instance these are the **saturated intervals**
     /// (their `(y_j, sink)` edge lies in the canonical minimum cut).
     pub fn intervals_reachable(&self) -> Vec<bool> {
-        match self.active() {
-            Active::Sweep(s) => s.cell_side().to_vec(),
-            Active::Flow(fs) => {
+        match &self.kernel {
+            KernelImpl::Sweep(s) => s.cell_side().to_vec(),
+            KernelImpl::Fallback(fs) | KernelImpl::Flow(fs) => {
                 let side = fs.net.residual_reachable_from_source();
                 (0..self.num_intervals)
                     .map(|j| side[1 + self.num_jobs + j])
@@ -734,9 +566,9 @@ impl WapSolver {
 
     /// Flow into the sink from interval `j` (total time handed out there).
     pub fn interval_usage(&self, j: usize) -> f64 {
-        match self.active() {
-            Active::Sweep(s) => s.cell_usage(j),
-            Active::Flow(fs) => fs.interval_usage(j),
+        match &self.kernel {
+            KernelImpl::Sweep(s) => s.cell_usage(j),
+            KernelImpl::Fallback(fs) | KernelImpl::Flow(fs) => fs.interval_usage(j),
         }
     }
 
@@ -764,9 +596,9 @@ impl WapSolver {
     /// the bound is bit-identical whichever engine produced the cut.
     pub fn cut_speed_bound(&self, works: &[f64]) -> Option<f64> {
         assert_eq!(works.len(), self.num_jobs, "works vector length mismatch");
-        match self.active() {
-            Active::Flow(fs) => fs.cut_speed_bound(works),
-            Active::Sweep(s) => {
+        match &self.kernel {
+            KernelImpl::Fallback(fs) | KernelImpl::Flow(fs) => fs.cut_speed_bound(works),
+            KernelImpl::Sweep(s) => {
                 let js = s.job_side();
                 let cs = s.cell_side();
                 let mut w_s = 0.0f64;
@@ -795,62 +627,6 @@ impl WapSolver {
                 finish_cut_bound(any_job, w_s, fixed)
             }
         }
-    }
-}
-
-/// A solved WAP flow with readback accessors (a one-shot
-/// [`WapSolver`] frozen after its first solve).
-#[derive(Debug)]
-pub struct WapFlow {
-    solver: WapSolver,
-}
-
-impl WapFlow {
-    /// Achieved max-flow value.
-    pub fn value(&self) -> f64 {
-        self.solver.value()
-    }
-
-    /// Total demand `Σ p_i`.
-    pub fn demand(&self) -> f64 {
-        self.solver.demand()
-    }
-
-    /// Feasible iff the flow meets the whole demand (tolerantly: max-flow
-    /// arithmetic accumulates `O(E·eps)` error).
-    pub fn feasible(&self) -> bool {
-        self.solver.feasible()
-    }
-
-    /// Time allotted to job `i` in each of its open intervals: `(j, t_ij)`,
-    /// skipping zero allotments.
-    pub fn allotment(&self, i: usize) -> Vec<(usize, f64)> {
-        self.solver.allotment(i)
-    }
-
-    /// Demand actually routed for job `i`.
-    pub fn routed(&self, i: usize) -> f64 {
-        self.solver.routed(i)
-    }
-
-    /// For each job: is its node residual-reachable from the source? On an
-    /// *infeasible* instance just below the critical speed, the reachable
-    /// jobs are exactly the **critical jobs** (Lemma 5 of the migratory
-    /// analysis).
-    pub fn jobs_reachable(&self) -> Vec<bool> {
-        self.solver.jobs_reachable()
-    }
-
-    /// For each interval: is its node residual-reachable from the source?
-    /// On the same infeasible instance these are the **saturated intervals**
-    /// (their `(y_j, sink)` edge lies in the canonical minimum cut).
-    pub fn intervals_reachable(&self) -> Vec<bool> {
-        self.solver.intervals_reachable()
-    }
-
-    /// Flow into the sink from interval `j` (total time handed out there).
-    pub fn interval_usage(&self, j: usize) -> f64 {
-        self.solver.interval_usage(j)
     }
 }
 
@@ -1064,100 +840,47 @@ mod tests {
         assert_eq!(auto.cut_speed_bound(&works), flow.cut_speed_bound(&works));
     }
 
-    /// Satellite regression: after a fallback solve, a later certified
-    /// sweep solve must report *its own* fresh state (no stale engine or
-    /// side sets), and vice versa.
+    /// One dispatch rule: after the sweep's first decline the generic engine
+    /// answers every later solve of that solver, each readback reports the
+    /// latest solve, and a new solver attempts the sweep afresh (nothing
+    /// carries over between solvers).
     #[test]
-    fn engine_switches_never_serve_stale_state() {
+    fn first_decline_hands_the_solver_to_the_engine() {
         let wap = starvation_wap();
         let mut s = wap.solver();
-        // 1) feasible demands: certified sweep path.
-        let p_ok = [2.0, 2.0, 0.0, 2.0];
-        assert!((s.solve(&p_ok) - 6.0).abs() < 1e-9);
-        assert!(s.feasible());
-        assert!(s.jobs_reachable().iter().all(|&b| !b));
-        // 2) starvation demands: fallback path, cut appears.
+        // 1) starvation demands: the sweep declines, the seeded engine
+        // finishes the solve and a cut appears.
         let p_bad = [4.0, 6.0, 0.0, 6.0];
         s.solve(&p_bad);
+        assert!(matches!(s.kernel, KernelImpl::Fallback(_)));
         assert!(!s.feasible());
         assert!(s.jobs_reachable().iter().any(|&b| b));
         let routed_total: f64 = (0..4).map(|i| s.routed(i)).sum();
         assert!((routed_total - 14.0).abs() < 1e-9);
-        // 3) feasible again, but inside the decline-backoff window: the
-        // generic engine answers (fresh state, identical verdict).
-        assert_eq!(s.dispatch_penalty(), 1);
+        // 2) feasible demands on the same solver: the engine answers, and
+        // every readback is the new solve's.
+        let p_ok = [2.0, 2.0, 0.0, 2.0];
         assert!((s.solve(&p_ok) - 6.0).abs() < 1e-9);
+        assert!(matches!(s.kernel, KernelImpl::Fallback(_)));
         assert!(s.feasible());
         assert!(s.jobs_reachable().iter().all(|&b| !b));
-        // 4) window expired: the sweep re-probes and certifies, but the
-        // penalty is still draining, so the engine answers this confirmation
-        // solve (its warm chain stays intact) and the penalty steps to 0.
-        assert!((s.solve(&p_ok) - 6.0).abs() < 1e-9);
-        assert_eq!(s.dispatch_penalty(), 0);
-        assert!(s.feasible());
-        assert!(s.jobs_reachable().iter().all(|&b| !b));
-        // 5) penalty drained: the sweep answers outright and reports its own
-        // fresh state.
-        assert!((s.solve(&p_ok) - 6.0).abs() < 1e-9);
-        assert!(s.feasible());
-        assert!(s.jobs_reachable().iter().all(|&b| !b));
-        let routed_total: f64 = (0..4).map(|i| s.routed(i)).sum();
-        assert!((routed_total - 6.0).abs() < 1e-9);
         for (i, &pk) in p_ok.iter().enumerate() {
+            assert!((s.routed(i) - pk).abs() < 1e-9);
             let total: f64 = s.allotment(i).iter().map(|&(_, t)| t).sum();
             assert!((total - pk).abs() < 1e-9);
         }
-    }
-
-    /// Decline backoff: a declined sweep attempt opens a skip window routed
-    /// straight to the generic engine (identical answers), repeated declines
-    /// double it, a streak of certified re-probes drains it one step per
-    /// certify, and [`Wap::absorb_dispatch`] carries the penalty into fresh
-    /// solvers.
-    #[test]
-    fn decline_backoff_skips_sweep_and_persists_across_solvers() {
-        let mut wap = starvation_wap();
-        let mut s = wap.solver();
-        let p_bad = [4.0, 6.0, 0.0, 6.0];
-        let v0 = s.solve(&p_bad); // attempt, decline -> window of 1
-        assert_eq!(s.dispatch_penalty(), 1);
-        let v1 = s.solve(&p_bad); // skipped: warm generic repair
-        assert!((v1 - v0).abs() <= 1e-9 * v0);
-        assert!(!s.feasible());
-        let v2 = s.solve(&p_bad); // re-probe, decline again -> window of 2
-        assert_eq!(s.dispatch_penalty(), 2);
-        assert!((v2 - v0).abs() <= 1e-9 * v0);
-        // The cut stays canonical on skipped and declined solves alike.
-        let works = [4.0, 6.0, 0.0, 6.0];
-        let bound = s.cut_speed_bound(&works);
-        assert!(bound.is_some());
-
-        // A fresh solver inherits the penalty and the *remaining* window
-        // (2 solves, not a re-armed 4): the very first solve skips the
-        // sweep yet answers identically.
-        wap.absorb_dispatch(&s);
-        let mut s2 = wap.solver();
-        let v = s2.solve(&p_bad);
-        assert_eq!(s2.dispatch_penalty(), 2);
-        assert!((v - v0).abs() <= 1e-9 * v0);
-        assert_eq!(s2.cut_speed_bound(&works), bound);
-
-        // A certify streak drains the penalty one step at a time (each
-        // confirmation solve is still answered by the engine, keeping its
-        // warm chain intact); only then does the fast path resume. First,
-        // one more skip drains the inherited window.
-        let p_ok = [2.0, 2.0, 0.0, 2.0];
-        assert!((s2.solve(&p_ok) - 6.0).abs() < 1e-9);
-        assert_eq!(s2.dispatch_penalty(), 2);
-        assert!((s2.solve(&p_ok) - 6.0).abs() < 1e-9);
-        assert_eq!(s2.dispatch_penalty(), 1);
-        assert!((s2.solve(&p_ok) - 6.0).abs() < 1e-9);
-        assert_eq!(s2.dispatch_penalty(), 0);
-        assert!(s2.feasible());
-        // Penalty drained: the sweep now answers outright.
-        assert!((s2.solve(&p_ok) - 6.0).abs() < 1e-9);
-        assert!(s2.feasible());
-        assert!(s2.jobs_reachable().iter().all(|&b| !b));
+        // 3) a new solver over the same instance starts on the sweep, which
+        // certifies these demands with exact allotments.
+        let mut fresh = wap.solver();
+        assert_eq!(fresh.solve(&p_ok), 6.0);
+        assert!(matches!(fresh.kernel, KernelImpl::Sweep(_)));
+        assert!(fresh.feasible());
+        assert!(fresh.jobs_reachable().iter().all(|&b| !b));
+        for (i, &pk) in p_ok.iter().enumerate() {
+            assert_eq!(fresh.routed(i), pk);
+            let total: f64 = fresh.allotment(i).iter().map(|&(_, t)| t).sum();
+            assert_eq!(total, pk);
+        }
     }
 
     /// Satellite regression: `Wap::set_capacity` after building one solver
@@ -1172,7 +895,7 @@ mod tests {
         assert!(before.feasible());
         // Close the only interval; a fresh solver must see zero capacity.
         wap.set_capacity(0, 0.0);
-        for kernel in [WapKernel::Auto, WapKernel::Sweep, WapKernel::Flow] {
+        for kernel in [WapKernel::Auto, WapKernel::Flow] {
             let mut w = wap.clone();
             w.set_kernel(kernel);
             let mut s = w.solver();
@@ -1206,7 +929,8 @@ mod tests {
         );
     }
 
-    /// Forced kernels agree with Auto on elementary-interval instances.
+    /// The forced flow kernel agrees with Auto (the sweep, on
+    /// elementary-interval instances).
     #[test]
     fn forced_kernels_agree_on_instance_families() {
         let jobs = vec![
@@ -1221,15 +945,14 @@ mod tests {
         for v in [0.5f64, 0.9, 1.3, 2.0, 4.0] {
             let p: Vec<f64> = instance.jobs().iter().map(|j| j.work / v).collect();
             let mut results = Vec::new();
-            for kernel in [WapKernel::Auto, WapKernel::Sweep, WapKernel::Flow] {
+            for kernel in [WapKernel::Auto, WapKernel::Flow] {
                 let mut w = wap.clone();
                 w.set_kernel(kernel);
                 let mut s = w.solver();
                 s.solve(&p);
                 results.push((s.feasible(), s.jobs_reachable(), s.intervals_reachable()));
             }
-            assert_eq!(results[0], results[1], "auto vs sweep at v={v}");
-            assert_eq!(results[0], results[2], "auto vs flow at v={v}");
+            assert_eq!(results[0], results[1], "auto vs flow at v={v}");
         }
     }
 }

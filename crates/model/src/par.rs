@@ -131,62 +131,6 @@ where
         .collect()
 }
 
-/// [`par_map`] over *mutable* items: apply `f` to every element of `items`
-/// in parallel, each worker owning a disjoint contiguous chunk; results keep
-/// input order.
-///
-/// This is the scratch-reuse variant the BAL probe ladder needs: each item
-/// carries its own warm solver state (a pre-cloned probe slot), so `f` can
-/// mutate it without any cross-item sharing. For results to be
-/// **thread-count invariant** the caller must uphold the same contract as
-/// the items' construction: `f(&mut items[i])`'s result may depend only on
-/// `items[i]`'s value at entry, never on which worker ran it or in what
-/// order (the chunk partition changes with the width).
-pub fn par_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&mut T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = thread_count().min(n);
-    if threads == 1 {
-        return items.iter_mut().map(&f).collect();
-    }
-    let parent = ssp_probe::Session::parent_handle();
-    let chunk = n.div_ceil(threads);
-    let mut results: Vec<R> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .map(|chunk| {
-                scope.spawn(|| {
-                    let _adopt = ssp_probe::Session::adopt_parent(parent);
-                    chunk.iter_mut().map(&f).collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        // Join in spawn (= input) order, re-raising the first panic payload
-        // as in [`par_map`].
-        let mut first_panic = None;
-        for handle in handles {
-            match handle.join() {
-                Ok(part) => results.extend(part),
-                Err(payload) => {
-                    first_panic.get_or_insert(payload);
-                }
-            }
-        }
-        if let Some(payload) = first_panic {
-            std::panic::resume_unwind(payload);
-        }
-    });
-    results
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,40 +218,5 @@ mod tests {
             set_thread_override(prev);
             assert_eq!(got, expect, "width {width}");
         }
-    }
-
-    #[test]
-    fn par_map_mut_mutates_in_place_and_keeps_order() {
-        for width in [1usize, 2, 8] {
-            let prev = set_thread_override(Some(width));
-            let mut items: Vec<(u64, u64)> = (0..37).map(|x| (x, 0)).collect();
-            let out = par_map_mut(&mut items, |item| {
-                item.1 = item.0 * 3;
-                item.1 + 1
-            });
-            set_thread_override(prev);
-            assert_eq!(out, (0..37).map(|x| x * 3 + 1).collect::<Vec<_>>());
-            assert!(items.iter().all(|&(x, y)| y == x * 3), "width {width}");
-        }
-    }
-
-    #[test]
-    fn par_map_mut_empty_input() {
-        let out: Vec<i32> = par_map_mut(&mut [] as &mut [i32], |&mut x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn par_map_mut_panic_propagates() {
-        let result = std::panic::catch_unwind(|| {
-            let mut items: Vec<i32> = (0..64).collect();
-            par_map_mut(&mut items, |&mut x| {
-                if x == 7 {
-                    panic!("boom at 7");
-                }
-                x
-            })
-        });
-        assert!(result.is_err(), "panic in `f` must propagate");
     }
 }

@@ -11,7 +11,6 @@ use crate::instance::Instance;
 use crate::job::JobId;
 use crate::numeric::{pow_alpha, Tol};
 use crate::Time;
-use std::collections::HashMap;
 
 /// One maximal piece of uninterrupted execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -286,14 +285,18 @@ impl Schedule {
         }
 
         // Self-overlap (parallel execution of one job) across machines, plus
-        // migration/preemption counting.
-        let mut by_job: HashMap<JobId, Vec<&Segment>> = HashMap::new();
+        // migration/preemption counting. Grouped by instance index (every
+        // segment's job was found above), so jobs are checked in instance
+        // order.
+        let mut by_job: Vec<Vec<&Segment>> = vec![Vec::new(); instance.len()];
         for s in &self.segments {
-            by_job.entry(s.job).or_default().push(s);
+            let i = instance.index_of(s.job).expect("checked above");
+            by_job[i].push(s);
         }
         let mut migrations = 0usize;
         let mut preemptions = 0usize;
-        for (job, segs) in by_job.iter_mut() {
+        for (i, segs) in by_job.iter_mut().enumerate() {
+            let job = instance.job(i).id;
             segs.sort_by(|a, b| a.start.total_cmp(&b.start));
             for w in segs.windows(2) {
                 let margin = tol.margin(w[0].end.abs().max(1.0));

@@ -34,7 +34,7 @@
 use crate::fingerprint::{CachedResult, Fingerprint, ResultCache};
 use crate::protocol::{self, CacheDisposition, OkResponse, Request};
 use crate::retry::{self, RetryPolicy};
-use ssp_harness::{boundary, solve_traced, Algo, SolveOptions};
+use ssp_harness::{boundary, solve, Algo, SolveOptions};
 use ssp_model::resource::Budget;
 use ssp_model::SolveError;
 use std::collections::VecDeque;
@@ -538,17 +538,18 @@ fn process(shared: &Shared, work: &Work, depth_behind: usize) {
 }
 
 /// One solve attempt through the harness, folded to `Result` for the retry
-/// loop. `solve_traced` self-degrades to an untraced solve while the
-/// daemon's own session holds the probes, so counters/histograms fired by
-/// the solvers land in the daemon trace. The extra `boundary::catch` seals
-/// the service against panics in report handling itself.
+/// loop. The request opens no probe session of its own: while the daemon's
+/// session holds the probes, counters/histograms fired by the solvers land
+/// in the daemon trace, and otherwise the solve runs untraced. The extra
+/// `boundary::catch` seals the service against panics in report handling
+/// itself.
 fn solve_once(
     req: &Request,
     algo: Algo,
     solve_opts: &SolveOptions,
 ) -> Result<Accepted, SolveError> {
     boundary::catch(|| {
-        let report = solve_traced(&req.instance, algo, solve_opts);
+        let report = solve(&req.instance, algo, solve_opts);
         match report.outcome {
             Some(outcome) => Ok(Accepted {
                 algorithm: outcome.algorithm,

@@ -18,13 +18,7 @@
 //! `local` (greedy + local search), `exact` (n ≤ 16), `bal` (migratory),
 //! `avr`, `oa` (online, migratory).
 
-use ssp_core::assignment::{assignment_schedule, Assignment};
-use ssp_core::classified::classified_assignment;
-use ssp_core::exact::exact_nonmigratory;
-use ssp_core::list::{least_loaded, marginal_energy_greedy};
-use ssp_core::online::{avr_m, oa_m};
-use ssp_core::relax::relax_round;
-use ssp_core::rr::rr_assignment;
+use ssp_harness::{run_algorithm, Algo, SolveOptions};
 use ssp_migratory::bal::bal;
 use ssp_migratory::mbal::mbal;
 use ssp_model::render::{gantt, GanttOptions};
@@ -279,50 +273,18 @@ fn generate(parsed: &Parsed) -> Result<String, CliError> {
     }
 }
 
-/// Resolve an algorithm name into a schedule + label. Migratory/online
-/// algorithms build their own schedules; assignment policies go through
-/// per-machine YDS.
-fn schedule_for(inst: &Instance, algo: &str) -> Result<(Schedule, &'static str), CliError> {
-    let assignment: Option<(Assignment, &'static str)> = match algo {
-        "rr" => Some((rr_assignment(inst), "round-robin + YDS (non-migratory)")),
-        "classified" => Some((
-            classified_assignment(inst),
-            "classified RR + YDS (non-migratory)",
-        )),
-        "least-loaded" => Some((least_loaded(inst), "least-loaded + YDS (non-migratory)")),
-        "relax" => Some((relax_round(inst), "relax-and-round + YDS (non-migratory)")),
-        "greedy" => Some((
-            marginal_energy_greedy(inst),
-            "marginal-energy greedy (non-migratory)",
-        )),
-        "exact" => {
-            if inst.len() > 16 {
-                return Err(CliError::runtime("exact solver limited to n <= 16"));
-            }
-            Some((
-                exact_nonmigratory(inst).assignment,
-                "exact optimum (non-migratory)",
-            ))
-        }
-        "local" => {
-            let seed = marginal_energy_greedy(inst);
-            let improved = ssp_core::local_search::improve(inst, &seed, Default::default());
-            Some((improved.assignment, "greedy + local search (non-migratory)"))
-        }
-        _ => None,
-    };
-    if let Some((a, label)) = assignment {
-        return Ok((assignment_schedule(inst, &a), label));
-    }
-    match algo {
-        "bal" => {
-            let sol = bal(inst);
-            Ok((sol.schedule(inst), "BAL optimum (migratory)"))
-        }
-        "avr" => Ok((avr_m(inst), "AVR-m (online, migratory)")),
-        "oa" => Ok((oa_m(inst), "OA-m (online, migratory)")),
-        other => Err(CliError::usage(format!("unknown algorithm '{other}'"))),
-    }
+/// Parse an `--algo` name; an unknown name is a usage error.
+fn parse_algo(name: &str) -> Result<Algo, CliError> {
+    Algo::from_name(name).map_err(|_| CliError::usage(format!("unknown algorithm '{name}'")))
+}
+
+/// Run a registered algorithm by name through the harness registry (no
+/// lower bound, no fallback) and return its schedule with its label.
+fn run_named(inst: &Instance, name: &str) -> Result<(Schedule, &'static str), CliError> {
+    let algo = parse_algo(name)?;
+    let run = run_algorithm(inst, algo, &SolveOptions::default())
+        .map_err(|e| CliError::runtime(e.to_string()))?;
+    Ok((run.schedule, algo.label()))
 }
 
 /// Writes a probe trace to disk when dropped, unless defused by an explicit
@@ -373,11 +335,8 @@ impl Drop for TelemetryFlushGuard {
 /// `--timeout-ms` and `--retries` map onto the same deadline/retry
 /// machinery the serve daemon uses (`ssp_serve::retry`).
 fn solve(parsed: &Parsed) -> Result<String, CliError> {
-    use ssp_harness::{Algo, SolveOptions};
     let inst = load(parsed)?;
-    let name = parsed.flag("algo").unwrap_or("rr");
-    let algo = Algo::from_name(name)
-        .map_err(|_| CliError::usage(format!("unknown algorithm '{name}'")))?;
+    let algo = parse_algo(parsed.flag("algo").unwrap_or("rr"))?;
     let timeout_ms: Option<u64> = parsed.flag_parse("timeout-ms")?;
     let max_retries: u32 = parsed.flag_parse("retries")?.unwrap_or(0);
     let inject: u32 = parsed.flag_parse("inject-transient")?.unwrap_or(0);
@@ -624,7 +583,7 @@ fn compare(parsed: &Parsed) -> Result<String, CliError> {
         algos.push("exact");
     }
     for algo in algos {
-        let (schedule, label) = schedule_for(&inst, algo)?;
+        let (schedule, label) = run_named(&inst, algo)?;
         let e = schedule.energy(inst.alpha());
         let _ = writeln!(out, "{:<42} {:>14.6} {:>8.3}", label, e, e / lb);
     }
@@ -636,7 +595,7 @@ fn analyze(parsed: &Parsed) -> Result<String, CliError> {
     use ssp_model::render::speed_sparkline;
     let inst = load(parsed)?;
     let algo = parsed.flag("algo").unwrap_or("bal");
-    let (schedule, label) = schedule_for(&inst, algo)?;
+    let (schedule, label) = run_named(&inst, algo)?;
     schedule
         .validate(&inst, Default::default())
         .map_err(|e| CliError::runtime(format!("schedule failed validation: {e}")))?;
@@ -704,7 +663,7 @@ fn quantize_cmd(parsed: &Parsed) -> Result<String, CliError> {
     if levels < 2 {
         return Err(CliError::usage("--levels must be at least 2"));
     }
-    let (schedule, label) = schedule_for(&inst, algo)?;
+    let (schedule, label) = run_named(&inst, algo)?;
     let continuous = schedule.energy(inst.alpha());
     let smin = schedule
         .segments()

@@ -1,10 +1,11 @@
 //! Differential test wall for the parallel BAL probe ladder (tier-1).
 //!
-//! The ladder fans out each round's candidate speeds onto per-probe scratch
-//! solvers via `par_map_mut`. Parallelism is required to change **wall time
-//! only**: for a fixed instance and strategy, the probe transcript (every
-//! `(speed, feasible)` pair in order), the per-round peel sets, the speeds,
-//! and the total energy must be bit-identical at every thread count. These
+//! The ladder fans out each round's candidate speeds onto per-probe clones
+//! of one warm solver via `par_map`. Parallelism is required to change
+//! **wall time only**: for a fixed instance and strategy, the probe
+//! transcript (every `(speed, feasible)` pair in order), the per-round peel
+//! sets, the speeds, and the total energy must be bit-identical at every
+//! thread count. These
 //! tests replay the same instances under pinned widths 1, 2, and 8 (via
 //! `set_thread_override`, which takes precedence over `SSP_THREADS`) and
 //! compare the full transcripts.
